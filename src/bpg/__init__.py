@@ -11,7 +11,6 @@ from .smad import (
     DescentReport,
     SmadCertificate,
     check_descent_lemma,
-    qip_smad_constant,
     spectral_norm,
 )
 from .solver import (
@@ -49,7 +48,7 @@ from .instances import generate_instance, load_instance, save_instance
 __all__ = [
     "ENERGY", "QUARTIC_PLUS_QUADRATIC", "Kernel",
     "DescentReport", "SmadCertificate", "check_descent_lemma",
-    "qip_smad_constant", "spectral_norm",
+    "spectral_norm",
     "BpgConfig", "DecreaseViolationError", "DivergenceError", "IterateTrace",
     "Problem", "RateReport", "SolveResult", "bpg_step", "min_gap_bound",
     "rate_fit", "run_bpg", "subgradient_witness",

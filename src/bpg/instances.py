@@ -19,7 +19,7 @@ RANK_ONE = "rank-one"
 
 
 def _enc_vec(v):
-    return [float(x).hex() for x in np.asarray(v, dtype=float)]
+    return [x.hex() for x in np.asarray(v, dtype=float).tolist()]
 
 
 def _dec_vec(vals, field):
@@ -30,21 +30,17 @@ def _dec_vec(vals, field):
 
 
 def _lower_triangle(A):
-    d = A.shape[0]
-    return [float(A[i, j]).hex() for i in range(d) for j in range(i + 1)]
+    return _enc_vec(A[np.tril_indices(A.shape[0])])
 
 
 def _from_lower_triangle(vals, d, field):
     flat = _dec_vec(vals, field)
     if flat.size != d * (d + 1) // 2:
         raise ValueError(f"field {field!r}: expected {d * (d + 1) // 2} entries, got {flat.size}")
+    rows, cols = np.tril_indices(d)
     A = np.zeros((d, d))
-    idx = 0
-    for i in range(d):
-        for j in range(i + 1):
-            A[i, j] = flat[idx]
-            A[j, i] = flat[idx]
-            idx += 1
+    A[rows, cols] = flat
+    A[cols, rows] = flat
     return A
 
 

@@ -56,8 +56,7 @@ class QipInstance:
             matrices = np.asarray(matrices, dtype=float)
             if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
                 raise ValueError(f"matrices must have shape (m, d, d), got {matrices.shape}")
-            for A in matrices:
-                check_symmetric(A)
+            check_symmetric(matrices)
             self.matrices = matrices
             self.factors = None
             m, d = matrices.shape[0], matrices.shape[1]
@@ -85,10 +84,10 @@ class QipInstance:
         return np.einsum("mi,mj->mij", self.factors, self.factors)
 
     def matrix_norms(self):
-        """Spectral norm of each A_i; exact for rank-one factors."""
+        """Spectral norm of each A_i: ||a_i||^2 for rank-one factors, else from eigvalsh."""
         if self.factors is not None:
             return np.sum(self.factors**2, axis=1)
-        return np.array([spectral_norm(A) for A in self.matrices])
+        return spectral_norm(self.matrices)
 
     def smad_certificate(self):
         norms = self.matrix_norms()

@@ -5,10 +5,11 @@ L*h + g convex, which is equivalent to the two-sided bound
 
     |g(x) - g(y) - <grad g(y), x - y>|  <=  L * D_h(x, y).
 
-This module provides the analytic constant for quartic measurement objectives
-(sum over measurements of 3*||A_i||^2 + ||A_i||*|b_i|, with ||.|| the spectral
-norm), a dependency-free spectral norm, and a sampling-based checker for the
-bound itself.
+This module provides the certificate type, spectral norms from numpy's
+``eigvalsh``, and a sampling-based checker for the bound itself.
+``QipInstance.smad_certificate`` builds the analytic constant for quartic
+measurement objectives, the sum over measurements of
+3*||A_i||^2 + ||A_i||*|b_i|, from these norms.
 """
 
 from dataclasses import dataclass
@@ -33,66 +34,31 @@ class SmadCertificate:
             raise ValueError(f"adaptability constant must be positive and finite, got {self.L}")
 
 
-def spectral_norm(A, tol=1e-12, max_iters=500, restarts=3):
-    """Largest absolute eigenvalue of a symmetric matrix via power iteration.
-
-    Iterates on A @ A so the dominant eigenvalue is nonnegative regardless of
-    the sign spectrum of A.  Deterministic: restart vectors come from a fixed
-    seed.  Stops a restart when successive Rayleigh quotients agree to ``tol``
-    relative; the best value over ``restarts`` independent starts is kept.
-    """
-    A = np.asarray(A, dtype=float)
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix has non-finite entries")
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    d = A.shape[0]
-    if not np.any(A):
-        return 0.0
-    B = A @ A
-    rng = np.random.default_rng(0x5EED)
-    best = 0.0
-    for _ in range(restarts):
-        v = rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        ray = 0.0
-        for _ in range(max_iters):
-            w = B @ v
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                break
-            v = w / nw
-            ray_new = float(v @ (B @ v))
-            if abs(ray_new - ray) <= tol * max(1.0, abs(ray_new)):
-                ray = ray_new
-                break
-            ray = ray_new
-        best = max(best, ray)
-    return float(np.sqrt(max(best, 0.0)))
-
-
 def check_symmetric(A, tol=_SYMMETRY_TOL):
+    """Return A as a float array; raise unless it (each matrix of a stack) is symmetric."""
     A = np.asarray(A, dtype=float)
-    gap = float(np.max(np.abs(A - A.T))) if A.size else 0.0
+    gap = float(np.max(np.abs(A - np.swapaxes(A, -1, -2)))) if A.size else 0.0
     if gap > tol:
         raise ValueError(f"matrix is not symmetric: max |A - A^T| = {gap:.3e} > {tol:.1e}")
     return A
 
 
-def qip_smad_constant(matrices, b):
-    """Analytic adaptability constant for a quadratic-measurement objective.
+def spectral_norm(A):
+    """Largest absolute eigenvalue of a symmetric matrix, from numpy's ``eigvalsh``.
 
-    L = sum_i ( 3*||A_i||^2 + ||A_i|| * |b_i| ), spectral norms throughout.
+    ``A`` is one (d, d) matrix, giving a float, or an (m, d, d) stack, giving
+    the (m,) array of per-matrix norms.  ``eigvalsh`` reads one triangle only,
+    so the input must be symmetric to within the tolerance of
+    :func:`check_symmetric`.
     """
-    matrices = [check_symmetric(A) for A in matrices]
-    if len(matrices) == 0:
-        raise ValueError("need at least one measurement matrix")
-    b = np.asarray(b, dtype=float)
-    if b.shape != (len(matrices),):
-        raise ValueError(f"b has shape {b.shape}, expected ({len(matrices)},)")
-    norms = np.array([spectral_norm(A) for A in matrices])
-    L = float(np.sum(3.0 * norms**2 + norms * np.abs(b)))
-    return SmadCertificate(L=L, source=ANALYTIC_QIP)
+    A = np.asarray(A, dtype=float)
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix has non-finite entries")
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {A.shape}")
+    check_symmetric(A)
+    norms = np.max(np.abs(np.linalg.eigvalsh(A)), axis=-1, initial=0.0)
+    return float(norms) if A.ndim == 2 else norms
 
 
 @dataclass

@@ -64,6 +64,22 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded.factors, inst.factors)
         np.testing.assert_array_equal(loaded.b, inst.b)
 
+    def test_dense_golden_lower_triangle(self):
+        # row-major lower triangle: a00, a10, a11, a20, a21, a22
+        tri = ["0x1.0000000000000p+0", "-0x1.0000000000000p-1", "0x1.0000000000000p+1",
+               "0x1.999999999999ap-4", "0x1.8000000000000p+1", "-0x1.8000000000000p+0"]
+        payload = {
+            "schema": 1, "d": 3, "m": 1, "encoding": "dense-symmetric",
+            "b": ["0x1.0000000000000p+0"], "regularizer": {"kind": "l0", "s": 1},
+            "x_true": None, "matrices": [tri],
+        }
+        inst, _ = payload_to_instance(payload)
+        expected = np.array([[1.0, -0.5, 0.1],
+                             [-0.5, 2.0, 3.0],
+                             [0.1, 3.0, -1.5]])
+        np.testing.assert_array_equal(inst.matrices[0], expected)
+        assert instance_to_payload(inst)["matrices"] == [tri]
+
     def test_l1_regularizer_round_trip(self):
         _, inst, _ = generate_instance(d=4, m=6, s_true=1, noise=0.0, seed=11,
                                        regularizer=L1(theta=0.37))

@@ -5,10 +5,11 @@ from conftest import ball_samples, random_dense_instance
 from oracles import eig_spectral_norm
 
 from bpg import (
+    L1,
     Kernel,
+    QipInstance,
     SmadCertificate,
     check_descent_lemma,
-    qip_smad_constant,
     qip_value,
     qip_gradient,
     spectral_norm,
@@ -35,15 +36,41 @@ class TestSpectralNorm:
         with pytest.raises(ValueError):
             spectral_norm(A)
 
+    def test_near_tied_spectrum_is_exact(self):
+        # |lambda_1| and |lambda_2| differ by 1e-6 relative; an iterative
+        # method that stops once its Rayleigh quotient settles falls short
+        rng = np.random.default_rng(18)
+        d = 16
+        for _ in range(50):
+            Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            spectrum = np.concatenate([[2.0, -2.0 * (1.0 - 1e-6)], rng.uniform(-1.0, 1.0, d - 2)])
+            A = (Q * spectrum) @ Q.T
+            A = 0.5 * (A + A.T)
+            assert spectral_norm(A) == pytest.approx(2.0, rel=1e-12)
+
+    def test_non_symmetric_rejected(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            spectral_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_stack_gives_per_matrix_norms(self):
+        stack = np.stack([np.diag([1.0, -3.0, 2.0]), np.diag([0.5, 0.0, -0.25]), np.zeros((3, 3))])
+        norms = spectral_norm(stack)
+        assert norms.shape == (3,)
+        np.testing.assert_allclose(norms, [3.0, 0.5, 0.0], rtol=1e-12)
+
+
+def qip_certificate(matrices, b):
+    return QipInstance(b=b, regularizer=L1(0.1), matrices=matrices).smad_certificate()
+
 
 class TestQipSmadConstant:
     def test_identity_single_measurement(self):
-        cert = qip_smad_constant([np.eye(2)], [1.0])
+        cert = qip_certificate([np.eye(2)], [1.0])
         assert cert.L == pytest.approx(4.0)
         assert cert.source == "analytic-qip"
 
     def test_diagonal_zero_measurement(self):
-        cert = qip_smad_constant([np.diag([2.0, 0.0])], [0.0])
+        cert = qip_certificate([np.diag([2.0, 0.0])], [0.0])
         assert cert.L == pytest.approx(12.0)
 
     def test_random_matches_eigendecomposition_oracle(self):
@@ -57,16 +84,16 @@ class TestQipSmadConstant:
             3.0 * eig_spectral_norm(A) ** 2 + eig_spectral_norm(A) * abs(bi)
             for A, bi in zip(mats, b)
         )
-        assert qip_smad_constant(mats, b).L == pytest.approx(expected, rel=1e-8)
+        assert qip_certificate(mats, b).L == pytest.approx(expected, rel=1e-8)
 
     def test_non_symmetric_rejected(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
-            qip_smad_constant([A], [0.0])
+            qip_certificate([A], [0.0])
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            qip_smad_constant([], [])
+            qip_certificate([], [])
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(13)
@@ -76,7 +103,7 @@ class TestQipSmadConstant:
         c = 2.5
         nu = eig_spectral_norm(A)
         expected = 3.0 * c**2 * nu**2 + c * nu * 0.7
-        assert qip_smad_constant([c * A], b).L == pytest.approx(expected, rel=1e-10)
+        assert qip_certificate([c * A], b).L == pytest.approx(expected, rel=1e-10)
 
     def test_monotone_in_measurements(self):
         rng = np.random.default_rng(14)
@@ -86,7 +113,7 @@ class TestQipSmadConstant:
             raw = rng.standard_normal((3, 3))
             mats.append(0.5 * (raw + raw.T))
             b.append(float(rng.standard_normal()))
-            L = qip_smad_constant(mats, b).L
+            L = qip_certificate(mats, b).L
             assert L >= prev
             prev = L
 
