@@ -25,7 +25,6 @@ from .solver import (
     min_gap_bound,
     rate_fit,
     run_bpg,
-    subgradient_witness,
 )
 from .qip import (
     L0Ball,
@@ -41,7 +40,6 @@ from .qip import (
     qip_gradient,
     qip_value,
     soft_threshold,
-    truncation_max,
 )
 from .instances import generate_instance, load_instance, save_instance
 
@@ -51,10 +49,10 @@ __all__ = [
     "spectral_norm",
     "BpgConfig", "DecreaseViolationError", "DivergenceError", "IterateTrace",
     "Problem", "RateReport", "SolveResult", "bpg_step", "min_gap_bound",
-    "rate_fit", "run_bpg", "subgradient_witness",
+    "rate_fit", "run_bpg",
     "L0Ball", "L1", "QipInstance", "cubic_root_l0", "cubic_root_l1",
     "hard_threshold", "make_problem", "p_lambda", "prox_l0", "prox_l1",
-    "qip_gradient", "qip_value", "soft_threshold", "truncation_max",
+    "qip_gradient", "qip_value", "soft_threshold",
     "generate_instance", "load_instance", "save_instance",
 ]
 

@@ -106,6 +106,8 @@ def run_from_spec(spec):
     2 on validation failure, 3 when any start hit a solver diagnostic.
     """
     try:
+        if spec.starts < 1:
+            raise ValueError(f"--starts must be at least 1, got {spec.starts}")
         inst, _ = instances.load_instance(spec.instance)
         inst = _override_regularizer(inst, spec)
         kernel = Kernel.quartic(inst.d)
@@ -216,9 +218,13 @@ def _parse_lambda(text):
 
 def _cmd_check(args):
     try:
+        if args.samples < 1:
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
+        if not (np.isfinite(args.radius) and args.radius > 0):
+            raise ValueError(f"--radius must be finite and positive, got {args.radius}")
         inst, _ = instances.load_instance(args.instance)
         cert = inst.smad_certificate()
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     kernel = Kernel.quartic(inst.d)

@@ -166,22 +166,6 @@ def hard_threshold(y, s):
     return out
 
 
-def truncation_max(a, s):
-    """Maximize <a, z> over unit vectors with at most s nonzeros.
-
-    Returns (value, argmax); the value is the norm of the hard-thresholded
-    vector and the argmax is that vector normalized.
-    """
-    a = np.asarray(a, dtype=float)
-    if not np.any(a):
-        raise ValueError("truncation_max is undefined for the zero vector")
-    if not 1 <= s < a.size:
-        raise ValueError(f"require 1 <= s < d, got s={s}, d={a.size}")
-    q = hard_threshold(a, s)
-    n = float(np.linalg.norm(q))
-    return n, q / n
-
-
 def _safeguarded_newton(coeff, f, fprime, lo, hi, t0, tol_scale, max_iters=80):
     """Vectorized Newton with bisection fallback on a per-element bracket.
 

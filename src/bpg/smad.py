@@ -67,7 +67,8 @@ class DescentReport:
 
     ``margins`` holds L*D_h - |D_g| per sample pair; a pair counts as a
     violation when its margin is below ``-slack`` for the pair's
-    magnitude-scaled slack.  A failed check is an outcome, not an error.
+    magnitude-scaled slack, or is NaN.  A failed check is an outcome, not an
+    error.
     """
 
     margins: np.ndarray
@@ -81,21 +82,27 @@ def check_descent_lemma(g_value, g_gradient, kernel, L, xs, ys, rel_slack=1e-9):
 
     ``g_value`` and ``g_gradient`` must accept batched input of shape (n, d).
     Returns a :class:`DescentReport`; it never raises on a failed bound.
+    Raises ValueError when the samples differ in shape, are empty or are not
+    finite.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     if xs.shape != ys.shape:
         raise ValueError(f"sample arrays differ in shape: {xs.shape} vs {ys.shape}")
+    if xs.size == 0:
+        raise ValueError("no sample pairs given")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValueError("sample points must be finite")
     dh = np.atleast_1d(kernel.bregman(xs, ys))
     dg = np.atleast_1d(
         g_value(xs) - g_value(ys) - np.sum(g_gradient(ys) * (xs - ys), axis=-1)
     )
     margins = L * dh - np.abs(dg)
     slack = rel_slack * (1.0 + np.abs(dg) + L * dh)
-    bad = margins < -slack
+    bad = ~(margins >= -slack)
     return DescentReport(
         margins=margins,
         n_violations=int(np.count_nonzero(bad)),
-        worst_margin=float(np.min(margins)) if margins.size else 0.0,
+        worst_margin=float(np.min(margins)),
         passed=not bool(np.any(bad)),
     )

@@ -1,22 +1,24 @@
 """Bregman proximal gradient iteration engine with guarantee monitoring.
 
-The iteration is x_{k+1} = prox_map(x_k, lam) with a constant step satisfying
-0 < lam * L < 1.  Every step is checked against the sufficient-decrease
-inequality
+:func:`bpg_step` takes one step x+ = prox_map(x, lam), with a constant step
+0 < lam * L < 1, and :func:`run_bpg` iterates it.  Every step is checked
+against the sufficient-decrease inequality
 
     lam * Psi(x+) <= lam * Psi(x) - (1 - lam*L) * D_h(x+, x),
 
 a violation of which signals a wrong adaptability constant, a wrong prox map,
-or numerical breakdown, and aborts the run.  A full per-iteration trace is
-recorded: objective value, Bregman gap, step norm, and the norm of an explicit
-subgradient witness certifying stationarity.
+or numerical breakdown, and aborts the run.  A step returns a :class:`Step`
+record (x+, Psi(x+), grad g(x+), D_h(x+, x), witness), where the witness
+w = grad g(x+) - grad g(x) + (grad h(x) - grad h(x+)) / lam is an explicit
+subgradient of Psi at x+.  The per-iteration trace records Psi, the Bregman
+gap, the step norm and the witness norm (the stationarity residual).
 """
 
 import csv
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -192,57 +194,69 @@ def _check_decrease(lam, L, psi_x, psi_new, dh):
         )
 
 
+def _check_lower_bound(problem, psi, name):
+    bound = problem.psi_lower_bound
+    if psi < bound - DECREASE_SLACK * (1.0 + abs(bound)):
+        raise ValueError(
+            f"{name}={psi:.6e} is below the declared lower bound {bound:.6e}; "
+            f"the bound or the problem data is wrong"
+        )
+
+
 def _guard_iterate(x):
-    if not np.all(np.isfinite(x)):
-        raise DivergenceError("iterate has non-finite entries")
-    n = float(np.linalg.norm(x))
-    if n > DIVERGENCE_NORM:
-        raise DivergenceError(f"iterate norm {n:.3e} exceeds divergence guard {DIVERGENCE_NORM:.0e}")
-    return n
+    n = float(np.linalg.norm(x))  # NaN or inf if any entry is
+    if not n <= DIVERGENCE_NORM:
+        raise DivergenceError(f"iterate norm {n:.3e} is not finite or exceeds {DIVERGENCE_NORM:.0e}")
 
 
-def bpg_step(problem, lam, x):
-    """One Bregman proximal gradient step with the decrease inequality enforced."""
-    if not lam > 0:
-        raise ValueError(f"step size must be positive, got {lam}")
+class Step(NamedTuple):
+    """One accepted step x+ = T_lam(x), as described in the module docstring."""
+
+    x: np.ndarray
+    psi: float
+    grad: np.ndarray
+    dh: float
+    witness: np.ndarray
+
+
+def bpg_step(problem, lam, x, psi=None, grad=None):
+    """One Bregman proximal gradient step from x, with its guarantees enforced.
+
+    Pass ``psi`` = Psi(x) and ``grad`` = grad g(x) when they are at hand (the
+    previous Step's fields); otherwise they are computed.  Raises ValueError
+    unless 0 < lam*L < 1, x is finite and Psi(x+) respects
+    ``problem.psi_lower_bound``.
+    """
+    L = problem.smad.L
+    lam = resolve_step(lam, L)
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("current point must be finite")
+    if psi is None:
+        if not np.all(np.isfinite(x)):
+            raise ValueError("current point must be finite")
+        psi = problem.psi(x)
+    if grad is None:
+        grad = np.asarray(problem.g_gradient(x), dtype=float)
     x_new = np.asarray(problem.prox_map(x, lam), dtype=float)
     _guard_iterate(x_new)
+    psi_new = problem.psi(x_new)
+    _check_lower_bound(problem, psi_new, "Psi(x+)")
     dh = float(problem.kernel.bregman(x_new, x))
-    _check_decrease(lam, problem.smad.L, problem.psi(x), problem.psi(x_new), dh)
-    return x_new
-
-
-def subgradient_witness(problem, lam, x_prev, x_next):
-    """An explicit subgradient of Psi at x_next, valid when x_next = T_lam(x_prev).
-
-    w = grad g(x_next) - grad g(x_prev) + (grad h(x_prev) - grad h(x_next)) / lam.
-    Its norm is the stationarity residual of the step.
-    """
-    x_prev = np.asarray(x_prev, dtype=float)
-    x_next = np.asarray(x_next, dtype=float)
-    gh = problem.kernel.gradient
-    return (np.asarray(problem.g_gradient(x_next)) - np.asarray(problem.g_gradient(x_prev))
-            + (gh(x_prev) - gh(x_next)) / lam)
+    _check_decrease(lam, L, psi, psi_new, dh)
+    grad_new = np.asarray(problem.g_gradient(x_new), dtype=float)
+    w = grad_new - grad + (problem.kernel.gradient(x) - problem.kernel.gradient(x_new)) / lam
+    return Step(x_new, psi_new, grad_new, dh, w)
 
 
 def run_bpg(problem, config):
-    """Iterate the method until a stopping rule fires; returns a SolveResult.
+    """Iterate :func:`bpg_step` until a stopping rule fires; returns a SolveResult.
 
     Raises :class:`DecreaseViolationError` / :class:`DivergenceError` on
     diagnostics; reaching ``max_iters`` is a reported reason, not an error.
     """
     lam = resolve_step(config.lam, problem.smad.L)
-    L = problem.smad.L
-    kernel = problem.kernel
     x = config.x0.copy()
     psi = problem.psi(x)
-    if math.isfinite(psi) and psi < problem.psi_lower_bound - DECREASE_SLACK * (1.0 + abs(problem.psi_lower_bound)):
-        raise ValueError(
-            f"Psi(x0)={psi:.6e} is below the declared lower bound {problem.psi_lower_bound:.6e}"
-        )
+    _check_lower_bound(problem, psi, "Psi(x0)")
     grad = np.asarray(problem.g_gradient(x), dtype=float)
 
     trace = IterateTrace()
@@ -252,25 +266,14 @@ def run_bpg(problem, config):
     reason = MAX_ITERS
 
     for k in range(1, config.max_iters + 1):
-        x_new = np.asarray(problem.prox_map(x, lam), dtype=float)
-        x_new_norm = _guard_iterate(x_new)
-        psi_new = problem.psi(x_new)
-        if psi_new < problem.psi_lower_bound - DECREASE_SLACK * (1.0 + abs(problem.psi_lower_bound)):
-            raise ValueError(
-                f"Psi(x^{k})={psi_new:.6e} fell below the declared lower bound "
-                f"{problem.psi_lower_bound:.6e}; the bound or the problem data is wrong"
-            )
-        dh = float(kernel.bregman(x_new, x))
-        _check_decrease(lam, L, psi, psi_new, dh)
-        grad_new = np.asarray(problem.g_gradient(x_new), dtype=float)
-        w = grad_new - grad + (kernel.gradient(x) - kernel.gradient(x_new)) / lam
-        wnorm = float(np.linalg.norm(w))
-        step = float(np.linalg.norm(x_new - x))
-        trace.append(k, psi_new, dh, step, wnorm, time.perf_counter() - t0)
+        step = bpg_step(problem, lam, x, psi, grad)
+        wnorm = float(np.linalg.norm(step.witness))
+        step_norm = float(np.linalg.norm(step.x - x))
+        trace.append(k, step.psi, step.dh, step_norm, wnorm, time.perf_counter() - t0)
         if iterates is not None:
-            iterates.append(x_new.copy())
-        x, psi, grad = x_new, psi_new, grad_new
-        if step <= config.tol_step * (1.0 + x_new_norm):
+            iterates.append(step.x.copy())
+        x, psi, grad = step.x, step.psi, step.grad
+        if step_norm <= config.tol_step * (1.0 + float(np.linalg.norm(x))):
             reason = STEP_TOLERANCE
             break
         if config.tol_residual is not None and wnorm <= config.tol_residual:

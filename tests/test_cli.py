@@ -181,6 +181,14 @@ class TestSolve:
                      "--out", str(tmp_path / "out")])
         assert code == 2
 
+    def test_zero_starts_rejected(self, instance_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["solve", "--instance", str(instance_path), "--starts", "0",
+                     "--out", str(out)])
+        assert code == 2
+        assert "error: --starts" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCheck:
     def test_check_passes_on_valid_instance(self, tmp_path, capsys):
@@ -190,3 +198,25 @@ class TestCheck:
         code = main(["check", "--instance", str(path), "--samples", "2000"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args", [
+        ["--samples", "0"],
+        ["--samples", "-3"],
+        ["--radius", "nan"],
+        ["--radius", "0"],
+        ["--radius", "inf"],
+    ], ids=["samples-0", "samples-negative", "radius-nan", "radius-0", "radius-inf"])
+    def test_bad_sampling_rejected(self, tmp_path, capsys, args):
+        payload, _, _ = generate_instance(d=4, m=6, s_true=1, noise=0.0, seed=31)
+        path = tmp_path / "inst.json"
+        save_instance(payload, path)
+        code = main(["check", "--instance", str(path), *args])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"error: {args[0]}" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_missing_instance(self, tmp_path, capsys):
+        code = main(["check", "--instance", str(tmp_path / "nope.json")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err

@@ -27,7 +27,6 @@ from bpg import (
     qip_gradient,
     qip_value,
     soft_threshold,
-    truncation_max,
 )
 
 
@@ -175,30 +174,13 @@ class TestThresholds:
         with pytest.raises(ValueError):
             hard_threshold(np.ones(3), 4)
 
-
-class TestTruncationMax:
-    def test_basic(self):
-        value, z = truncation_max(np.array([3.0, 0.0, 4.0]), 1)
-        assert value == pytest.approx(4.0)
-        np.testing.assert_allclose(z, [0.0, 0.0, 1.0])
-
-    def test_tie_break(self):
-        value, z = truncation_max(np.array([1.0, 1.0]), 1)
-        assert value == pytest.approx(1.0)
-        np.testing.assert_allclose(z, [1.0, 0.0])
-
-    def test_matches_enumeration(self):
+    def test_hard_norm_matches_enumeration(self):
+        # ||H_s(a)|| is the max of <a, z> over unit vectors with s nonzeros
         rng = np.random.default_rng(27)
         for _ in range(20):
             a = rng.standard_normal(4)
-            value, z = truncation_max(a, 2)
+            value = np.linalg.norm(hard_threshold(a, 2))
             assert value == pytest.approx(enum_truncation_max(a, 2), rel=1e-12)
-            assert np.linalg.norm(z) == pytest.approx(1.0)
-            assert np.count_nonzero(z) <= 2
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            truncation_max(np.zeros(3), 1)
 
 
 class TestCubics:

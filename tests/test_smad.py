@@ -168,3 +168,21 @@ class TestDescentLemma:
         with pytest.raises(ValueError):
             check_descent_lemma(k.value, k.gradient, k, 1.0,
                                 np.zeros((3, 2)), np.zeros((4, 2)))
+
+    def test_empty_or_non_finite_samples_rejected(self):
+        k = Kernel.energy(2)
+        bad = np.zeros((3, 2))
+        bad[1, 0] = np.nan
+        for xs in (np.zeros((0, 2)), bad, np.full((3, 2), np.inf)):
+            with pytest.raises(ValueError):
+                check_descent_lemma(k.value, k.gradient, k, 1.0, xs, np.zeros_like(xs))
+
+    def test_nan_margin_is_a_violation(self):
+        # finite samples whose values overflow give NaN margins
+        k = Kernel.energy(2)
+        xs = np.full((2, 2), 1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = check_descent_lemma(k.value, k.gradient, k, 1.0, xs, -xs)
+        assert np.isnan(report.margins).all()
+        assert not report.passed
+        assert report.n_violations == 2

@@ -19,8 +19,8 @@ from bpg import (
     p_lambda,
     rate_fit,
     run_bpg,
-    subgradient_witness,
 )
+import bpg.qip
 
 
 def quadratic_problem(c, d=2):
@@ -40,13 +40,13 @@ def quadratic_problem(c, d=2):
 class TestBpgStep:
     def test_gradient_step_special_case(self):
         prob = quadratic_problem([0.0, 0.0])
-        out = bpg_step(prob, 0.5, np.array([2.0, 0.0]))
+        out = bpg_step(prob, 0.5, np.array([2.0, 0.0])).x
         np.testing.assert_allclose(out, [1.0, 0.0])
 
     def test_stationary_point_is_fixed(self):
         c = np.array([1.5, -0.5])
         prob = quadratic_problem(c)
-        np.testing.assert_allclose(bpg_step(prob, 0.5, c), c)
+        np.testing.assert_allclose(bpg_step(prob, 0.5, c).x, c)
 
     def test_qip_l1_step_matches_grid_oracle(self):
         inst_matrices = np.array([np.diag([1.0, 2.0])])
@@ -57,7 +57,7 @@ class TestBpgStep:
         prob = make_problem(inst, k)
         lam = 0.9 / prob.smad.L
         x = np.array([1.0, 1.0])
-        out = bpg_step(prob, lam, x)
+        out = bpg_step(prob, lam, x).x
         # independent minimization of the step model
         # lam*f(u) + lam*<grad g(x), u - x> + D_h(u, x) over a refined grid
         gx = prob.g_gradient(x)
@@ -86,6 +86,19 @@ class TestBpgStep:
         prob.prox_map = lambda x, lam: np.array([np.nan, 0.0])
         with pytest.raises(DivergenceError):
             bpg_step(prob, 0.5, np.array([1.0, 0.0]))
+
+    def test_step_size_beyond_one_over_L_rejected(self):
+        # lam*L = 1.5 makes the decrease check vacuous
+        prob = quadratic_problem([0.0, 0.0])
+        with pytest.raises(ValueError, match=r"lam\*L"):
+            bpg_step(prob, 1.5, np.array([2.0, 0.0]))
+
+    def test_lower_bound_enforced(self):
+        # Psi(x+) = 0.5 is below the declared bound 1.0
+        prob = quadratic_problem([0.0, 0.0])
+        prob.psi_lower_bound = 1.0
+        with pytest.raises(ValueError, match="lower bound"):
+            bpg_step(prob, 0.5, np.array([2.0, 0.0]))
 
 
 class TestRunBpg:
@@ -170,6 +183,29 @@ class TestRunBpg:
         rho2 = M * (1.0 + 1.0 / lam)
         assert np.all(trace.witness_norm[1:] <= rho2 * trace.step_norm[1:] * (1.0 + 1e-9) + 1e-15)
 
+    def test_call_budget(self, monkeypatch):
+        # per iteration at most 3 oracle calls (g or grad g) and 4 grad h
+        # calls; 2 oracle calls at the start
+        rng = np.random.default_rng(56)
+        inst = random_dense_instance(rng, d=4, m=6, regularizer=L1(theta=0.1))
+        prob = make_problem(inst, Kernel.quartic(4))
+        counts = {"oracle": 0, "grad_h": 0}
+
+        def counted(fn, key):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(bpg.qip, "qip_value", counted(bpg.qip.qip_value, "oracle"))
+        monkeypatch.setattr(bpg.qip, "qip_gradient", counted(bpg.qip.qip_gradient, "oracle"))
+        monkeypatch.setattr(Kernel, "gradient", counted(Kernel.gradient, "grad_h"))
+        res = run_bpg(prob, BpgConfig(x0=rng.standard_normal(4), max_iters=20, tol_step=0.0))
+        iters = res.iterations
+        assert iters == 20
+        assert 0 < counts["oracle"] <= 3 * iters + 2
+        assert 0 < counts["grad_h"] <= 4 * iters
+
     def test_witness_zero_implies_fixed_point(self):
         rng = np.random.default_rng(52)
         inst = random_dense_instance(rng, d=5, m=8, regularizer=L1(theta=0.2))
@@ -178,7 +214,7 @@ class TestRunBpg:
         res = run_bpg(prob, BpgConfig(x0=rng.standard_normal(5), lam=lam, max_iters=50_000,
                                       tol_step=1e-14))
         # near-zero witness at termination: another step barely moves
-        x_again = bpg_step(prob, lam, res.x)
+        x_again = bpg_step(prob, lam, res.x).x
         assert np.linalg.norm(x_again - res.x) <= 1e-8 * (1.0 + np.linalg.norm(res.x))
 
 
@@ -186,16 +222,15 @@ class TestSubgradientWitness:
     def test_fixed_point_gives_zero(self):
         prob = quadratic_problem([1.0, 2.0])
         x = np.array([1.0, 2.0])
-        np.testing.assert_allclose(subgradient_witness(prob, 0.5, x, x), [0.0, 0.0])
+        np.testing.assert_allclose(bpg_step(prob, 0.5, x).witness, [0.0, 0.0])
 
     def test_analytic_example(self):
         prob = quadratic_problem([0.0, 0.0])
         x0 = np.array([2.0, 0.0])
-        x1 = bpg_step(prob, 0.5, x0)
-        np.testing.assert_allclose(x1, [1.0, 0.0])
-        w = subgradient_witness(prob, 0.5, x0, x1)
-        np.testing.assert_allclose(w, [1.0, 0.0])
-        np.testing.assert_allclose(w, prob.g_gradient(x1))  # grad Psi(x1)
+        step = bpg_step(prob, 0.5, x0)
+        np.testing.assert_allclose(step.x, [1.0, 0.0])
+        np.testing.assert_allclose(step.witness, [1.0, 0.0])
+        np.testing.assert_allclose(step.witness, prob.g_gradient(step.x))  # grad Psi(x1)
 
 
 class TestMinGapBound:
