@@ -113,24 +113,21 @@ def run_from_spec(spec):
         kernel = Kernel.quartic(inst.d)
         problem = make_problem(inst, kernel)
         lam = resolve_step(spec.lam, problem.smad.L)
+        configs = [
+            BpgConfig(x0=x0, lam=lam, max_iters=spec.max_iters, tol_step=spec.tol_step,
+                      tol_residual=spec.tol_residual)
+            for x0 in draw_starts(inst.d, spec.starts, spec.seed, inst.regularizer)
+        ]
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
-    x0s = draw_starts(inst.d, spec.starts, spec.seed, inst.regularizer)
 
     def one_start(idx):
-        config = BpgConfig(
-            x0=x0s[idx],
-            lam=lam,
-            max_iters=spec.max_iters,
-            tol_step=spec.tol_step,
-            tol_residual=spec.tol_residual,
-        )
         try:
-            return idx, run_bpg(problem, config), None
+            return idx, run_bpg(problem, configs[idx]), None
         except (DecreaseViolationError, DivergenceError) as exc:
             return idx, None, exc
 

@@ -1,12 +1,16 @@
 """Sparse quadratic inverse problems and their closed-form Bregman prox maps.
 
 The smooth data term is g(x) = 1/4 * sum_i (x^T A_i x - b_i)^2 for symmetric
-measurement matrices A_i.  Paired with the quartic-plus-quadratic kernel, the
-Bregman proximal step has an explicit solution for both an l1 penalty and an
-l0-ball (sparsity) constraint; each reduces to a thresholding operation plus a
-scalar cubic root.
+measurement matrices A_i.  Dense instances evaluate it from one BLAS
+matrix-vector product that gives every A_i x at once; rank-one instances
+A_i = a_i a_i^T from the m inner products a_i^T x.  Paired with the
+quartic-plus-quadratic kernel, the Bregman proximal step has an explicit
+solution for both an l1 penalty and an l0-ball (sparsity) constraint; each
+reduces to a thresholding operation plus a scalar cubic root, which the prox
+solves by a safeguarded Newton loop on Python floats.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +57,8 @@ class QipInstance:
         if self.b.ndim != 1 or self.b.size < 1:
             raise ValueError(f"b must be a nonempty vector, got shape {self.b.shape}")
         if matrices is not None:
-            matrices = np.asarray(matrices, dtype=float)
+            # contiguous, so that the oracle's (m*d, d) row view is a view
+            matrices = np.ascontiguousarray(matrices, dtype=float)
             if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
                 raise ValueError(f"matrices must have shape (m, d, d), got {matrices.shape}")
             check_symmetric(matrices)
@@ -105,32 +110,34 @@ def _check_point(inst, x):
 
 
 def _residuals(inst, x):
-    # quadratic forms x^T A_i x, batched over leading axes of x
+    """Residuals x^T A_i x - b_i and the products they are built from.
+
+    Batched over the leading axes of x.  Rank-one instances give the products
+    a_i^T x, shape (..., m).  Dense instances give A_i x, shape (..., m, d),
+    from one BLAS product of x with the (m*d, d) row view of the stack: row
+    (i, j) of that view is A_i[j].
+    """
     if inst.factors is not None:
         ax = x @ inst.factors.T
-        quad = ax * ax
-    else:
-        quad = np.einsum("...i,mij,...j->...m", x, inst.matrices, x)
-    return quad - inst.b
+        return ax * ax - inst.b, ax
+    Ax = (x @ inst.matrices.reshape(-1, inst.d).T).reshape(*x.shape[:-1], inst.m, inst.d)
+    return (Ax @ x[..., None])[..., 0] - inst.b, Ax
 
 
 def qip_value(inst, x):
     """The smooth data-fit value g(x) = 1/4 sum_i (x^T A_i x - b_i)^2."""
     x = _check_point(inst, x)
-    r = _residuals(inst, x)
+    r, _ = _residuals(inst, x)
     return 0.25 * np.sum(r * r, axis=-1)
 
 
 def qip_gradient(inst, x):
-    """Analytic gradient sum_i (x^T A_i x - b_i) A_i x."""
+    """Analytic gradient sum_i (x^T A_i x - b_i) A_i x (each A_i symmetric)."""
     x = _check_point(inst, x)
+    r, ax = _residuals(inst, x)
     if inst.factors is not None:
-        ax = x @ inst.factors.T
-        r = ax * ax - inst.b
         return (r * ax) @ inst.factors
-    Ax = np.einsum("mij,...j->...mi", inst.matrices, x)
-    quad = np.einsum("...mi,...i->...m", Ax, x)
-    return np.einsum("...m,...mi->...i", quad - inst.b, Ax)
+    return (r[..., None, :] @ ax)[..., 0, :]
 
 
 def p_lambda(inst, kernel, lam, x):
@@ -166,26 +173,72 @@ def hard_threshold(y, s):
     return out
 
 
+def _scalar_newton(c, f, fprime, lo, hi, t, tol, max_iters=80):
+    """Safeguarded Newton on Python floats: ``_safeguarded_newton`` for one element."""
+    for _ in range(max_iters):
+        r = f(c, t)
+        if abs(r) <= tol:
+            break
+        if r < 0:
+            lo = t
+        elif r > 0:
+            hi = t
+        cand = t - r / fprime(c, t)
+        t = cand if math.isfinite(cand) and lo < cand < hi else 0.5 * (lo + hi)
+    return t
+
+
 def _safeguarded_newton(coeff, f, fprime, lo, hi, t0, tol_scale, max_iters=80):
     """Vectorized Newton with bisection fallback on a per-element bracket.
 
-    ``f``/``fprime`` take (coeff, t) arrays; the root is assumed unique in
-    [lo, hi] with f(lo) <= 0 <= f(hi) and fprime >= 1.
+    ``f``/``fprime`` take (coeff, t) arrays, and ``lo``/``hi`` broadcast
+    against them; the root is assumed unique in [lo, hi] with
+    f(lo) <= 0 <= f(hi) and fprime >= 1.  An element stops
+    moving once its residual is within tolerance, so each root is the one
+    ``_scalar_newton`` returns for that coefficient alone, bit for bit.
     """
-    t = t0.copy()
-    lo = lo.copy()
-    hi = hi.copy()
+    t = t0
     for _ in range(max_iters):
         r = f(coeff, t)
-        if np.all(np.abs(r) <= tol_scale):
+        done = np.abs(r) <= tol_scale
+        if np.all(done):
             break
         lo = np.where(r < 0, t, lo)
         hi = np.where(r > 0, t, hi)
-        step = r / fprime(coeff, t)
-        cand = t - step
+        cand = t - r / fprime(coeff, t)
         bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-        t = np.where(bad, 0.5 * (lo + hi), cand)
+        t = np.where(done, t, np.where(bad, 0.5 * (lo + hi), cand))
     return t
+
+
+def _cubic_root(c, f, fprime, bracket):
+    """The root t in [0, hi] of f(c, t) = 0, where (hi, t0) = bracket(c).
+
+    A scalar coefficient runs the Newton loop on Python floats from the start
+    t0; an array runs the vectorized loop.  Both take the bracket from numpy's
+    cbrt and stop at the residual tolerance 1e-15 * (1 + c), so they agree bit
+    for bit.
+    """
+    if isinstance(c, float) or np.ndim(c) == 0:
+        c = float(c)
+        if not (math.isfinite(c) and c >= 0):
+            raise ValueError("coefficient must be finite and nonnegative")
+        hi, t0 = bracket(c)
+        return _scalar_newton(c, f, fprime, 0.0, float(hi), float(t0), 1e-15 * (1.0 + c))
+    c = np.asarray(c, dtype=float)
+    if not np.all(np.isfinite(c)) or np.any(c < 0):
+        raise ValueError("coefficient must be finite and nonnegative")
+    hi, t0 = bracket(c)
+    return _safeguarded_newton(c, f, fprime, 0.0, hi, t0, 1e-15 * (1.0 + c))
+
+
+def _l1_bracket(a):
+    return 1.0, 1.0 / (1.0 + np.cbrt(a))
+
+
+def _l0_bracket(c):
+    cb = np.cbrt(c)
+    return cb + 1.0, np.minimum(c, cb)
 
 
 def cubic_root_l1(v_norm_sq):
@@ -195,42 +248,25 @@ def cubic_root_l1(v_norm_sq):
     the analytic bracket [0, 1]; no closed-form cubic formula is used, to
     avoid cancellation for extreme coefficients.
     """
-    a = np.asarray(v_norm_sq, dtype=float)
-    scalar = a.ndim == 0
-    a = np.atleast_1d(a)
-    if not np.all(np.isfinite(a)) or np.any(a < 0):
-        raise ValueError("coefficient must be finite and nonnegative")
-    t0 = 1.0 / (1.0 + np.cbrt(a))
-    t = _safeguarded_newton(
-        a,
+    return _cubic_root(
+        v_norm_sq,
         lambda a, t: a * t * t * t + t - 1.0,
         lambda a, t: 3.0 * a * t * t + 1.0,
-        lo=np.zeros_like(a),
-        hi=np.ones_like(a),
-        t0=t0,
-        tol_scale=1e-15 * (1.0 + a),
+        _l1_bracket,
     )
-    return float(t[0]) if scalar else t
 
 
 def cubic_root_l0(c):
-    """Unique nonnegative root eta of eta^3 + eta - c = 0 for c >= 0."""
-    c = np.asarray(c, dtype=float)
-    scalar = c.ndim == 0
-    c = np.atleast_1d(c)
-    if not np.all(np.isfinite(c)) or np.any(c < 0):
-        raise ValueError("coefficient must be finite and nonnegative")
-    t0 = np.minimum(c, np.cbrt(c))
-    t = _safeguarded_newton(
+    """Unique nonnegative root eta of eta^3 + eta - c = 0 for c >= 0.
+
+    Accepts a scalar or an array of coefficients; bracket [0, cbrt(c) + 1].
+    """
+    return _cubic_root(
         c,
         lambda c, t: t * t * t + t - c,
         lambda c, t: 3.0 * t * t + 1.0,
-        lo=np.zeros_like(c),
-        hi=np.cbrt(c) + 1.0,
-        t0=t0,
-        tol_scale=1e-15 * (1.0 + c),
+        _l0_bracket,
     )
-    return float(t[0]) if scalar else t
 
 
 def prox_l1(p, lam_theta):

@@ -82,7 +82,7 @@ class BpgConfig:
             raise ValueError("starting point must be finite")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
-        if self.tol_step < 0:
+        if not self.tol_step >= 0:
             raise ValueError(f"tol_step must be nonnegative, got {self.tol_step}")
 
 

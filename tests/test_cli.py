@@ -189,6 +189,16 @@ class TestSolve:
         assert "error: --starts" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [["--max-iters", "-1"], ["--tol-step", "-0.5"],
+                                      ["--tol-step", "nan"]],
+                             ids=["max-iters", "tol-step", "tol-step-nan"])
+    def test_bad_run_parameters_leave_no_output(self, instance_path, tmp_path, capsys, args):
+        out = tmp_path / "run"
+        code = main(["solve", "--instance", str(instance_path), *args, "--out", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCheck:
     def test_check_passes_on_valid_instance(self, tmp_path, capsys):

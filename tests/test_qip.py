@@ -30,6 +30,17 @@ from bpg import (
 )
 
 
+def triple_loop_value(inst, x):
+    total = 0.0
+    for A, bi in zip(inst.dense_matrices(), inst.b):
+        quad = 0.0
+        for i in range(inst.d):
+            for j in range(inst.d):
+                quad += x[i] * A[i, j] * x[j]
+        total += 0.25 * (quad - bi) ** 2
+    return total
+
+
 class TestInstance:
     def test_requires_one_storage_kind(self):
         with pytest.raises(ValueError):
@@ -71,14 +82,7 @@ class TestObjective:
         rng = np.random.default_rng(21)
         inst = random_dense_instance(rng, d=4, m=6)
         x = rng.standard_normal(4)
-        total = 0.0
-        for A, bi in zip(inst.matrices, inst.b):
-            quad = 0.0
-            for i in range(4):
-                for j in range(4):
-                    quad += x[i] * A[i, j] * x[j]
-            total += 0.25 * (quad - bi) ** 2
-        assert qip_value(inst, x) == pytest.approx(total, rel=1e-12)
+        assert qip_value(inst, x) == pytest.approx(triple_loop_value(inst, x), rel=1e-12)
 
     def test_gradient_at_zero(self):
         rng = np.random.default_rng(22)
@@ -102,6 +106,32 @@ class TestObjective:
         inst = QipInstance(b=[0.0], regularizer=L1(0.1), matrices=[np.eye(2)])
         with pytest.raises(ValueError):
             qip_value(inst, np.zeros(3))
+
+
+class TestBatchedOracle:
+    @pytest.mark.parametrize("kind", ["dense", "rank-one"])
+    @pytest.mark.parametrize("batch", [(6,), (2, 3)], ids=["n", "n1-n2"])
+    def test_batch_matches_rows(self, kind, batch):
+        rng = np.random.default_rng(26)
+        d, m = 5, 7
+        if kind == "dense":
+            inst = random_dense_instance(rng, d=d, m=m)
+        else:
+            inst = QipInstance(b=rng.standard_normal(m), regularizer=L1(0.1),
+                               factors=rng.standard_normal((m, d)))
+        X = rng.standard_normal(batch + (d,))
+        values, grads = qip_value(inst, X), qip_gradient(inst, X)
+        assert values.shape == batch and grads.shape == batch + (d,)
+        for idx in np.ndindex(*batch):
+            x = X[idx]
+            g = qip_gradient(inst, x)
+            assert values[idx] == pytest.approx(qip_value(inst, x), rel=1e-12)
+            np.testing.assert_allclose(grads[idx], g, rtol=1e-12, atol=1e-12 * np.abs(g).max())
+        for idx in (np.zeros(len(batch), dtype=int), np.array(batch) - 1):
+            x = X[tuple(idx)]
+            assert values[tuple(idx)] == pytest.approx(triple_loop_value(inst, x), rel=1e-12)
+            fd = fd_gradient(lambda u: qip_value(inst, u), x)
+            np.testing.assert_allclose(grads[tuple(idx)], fd, rtol=1e-6, atol=1e-7)
 
 
 class TestPLambda:
@@ -215,10 +245,20 @@ class TestCubics:
         assert np.all(np.diff(eta) >= 0)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            cubic_root_l1(np.nan)
-        with pytest.raises(ValueError):
-            cubic_root_l0(np.inf)
+        for solve in (cubic_root_l1, cubic_root_l0):
+            for bad in (np.nan, np.inf, -1.0):
+                with pytest.raises(ValueError):
+                    solve(bad)
+                with pytest.raises(ValueError):
+                    solve(np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("solve", [cubic_root_l1, cubic_root_l0])
+    def test_scalar_and_batched_roots_identical(self, solve):
+        rng = np.random.default_rng(31)
+        coeffs = np.concatenate([10.0 ** np.linspace(-300, 300, 2001),
+                                 rng.uniform(0.0, 10.0, 2000), [0.0, 5e-324, 1.7e308]])
+        scalar = np.array([solve(float(c)) for c in coeffs])
+        np.testing.assert_array_equal(scalar, solve(coeffs))
 
 
 class TestProxL1:
