@@ -7,6 +7,10 @@ Verbs:
   trace CSV and one summary per start plus a best-of report.
 * ``bpg check``    -- sampled verification of the descent certificate.
 
+Each verb is a function of the parsed arguments.  ``main`` is the one error
+boundary: a ``ValueError`` or ``OSError`` from any verb prints ``error: ...``
+and exits 2, and every verb checks its input before it writes anything.
+
 Worker count for concurrent starts can be overridden with the ``BPG_WORKERS``
 environment variable.  Trace CSVs are written with the wall-clock column
 zeroed so identical seeds produce byte-identical artifacts.
@@ -17,9 +21,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -43,44 +45,41 @@ EXIT_CHECK_FAILED = 4
 START_RADII = (0.1, 1.0, 10.0)
 
 
-@dataclass
-class RunSpec:
-    """A fully resolved solve request."""
-
-    instance: Path
-    out: Path
-    lam: Optional[float] = None  # None means auto (0.99 / L)
-    max_iters: int = 100_000
-    tol_step: float = 1e-9
-    tol_residual: Optional[float] = None
-    seed: int = 0
-    starts: int = 1
-    reg: Optional[str] = None  # optional override: "l1" or "l0"
-    theta: Optional[float] = None
-    s: Optional[int] = None
-
-
 def _workers(starts):
     env = os.environ.get("BPG_WORKERS")
-    if env:
+    if not env:
+        return max(1, min(starts, os.cpu_count() or 1))
+    try:
         return max(1, int(env))
-    return max(1, min(starts, os.cpu_count() or 1))
+    except ValueError:
+        raise ValueError(f"BPG_WORKERS must be an integer, got {env!r}") from None
 
 
-def _override_regularizer(inst, spec):
-    if spec.reg is None:
-        return inst
-    if spec.reg == "l1":
-        if spec.theta is None:
+def _step_size(text):
+    """``--lambda``: 'auto' (None, the default step 0.99 / L) or a number."""
+    if text == "auto":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be 'auto' or a number, got {text!r}") from None
+
+
+def _regularizer(reg, theta, s):
+    """The regularizer that ``--reg``/``--theta``/``--s`` name; None without ``--reg``."""
+    if theta is not None and reg != "l1":
+        raise ValueError("--theta needs --reg l1")
+    if s is not None and reg != "l0":
+        raise ValueError("--s needs --reg l0")
+    if reg == "l1":
+        if theta is None:
             raise ValueError("--reg l1 requires --theta")
-        reg = L1(theta=spec.theta)
-    else:
-        if spec.s is None:
+        return L1(theta=theta)
+    if reg == "l0":
+        if s is None:
             raise ValueError("--reg l0 requires --s")
-        reg = L0Ball(s=spec.s)
-    if inst.factors is not None:
-        return instances.QipInstance(b=inst.b, regularizer=reg, factors=inst.factors)
-    return instances.QipInstance(b=inst.b, regularizer=reg, matrices=inst.matrices)
+        return L0Ball(s=s)
+    return None
 
 
 def draw_starts(d, starts, seed, regularizer):
@@ -99,30 +98,30 @@ def draw_starts(d, starts, seed, regularizer):
     return points
 
 
-def run_from_spec(spec):
-    """Execute a RunSpec; writes artifacts under ``spec.out``.
+def run_from_spec(args):
+    """``bpg solve`` on the parsed arguments; writes artifacts under ``args.out``.
 
     Returns the process exit code: 0 on clean termination of every start,
-    2 on validation failure, 3 when any start hit a solver diagnostic.
+    3 when any start hit a solver diagnostic.  Bad input raises ValueError
+    or OSError before ``args.out`` is created.
     """
-    try:
-        if spec.starts < 1:
-            raise ValueError(f"--starts must be at least 1, got {spec.starts}")
-        inst, _ = instances.load_instance(spec.instance)
-        inst = _override_regularizer(inst, spec)
-        kernel = Kernel.quartic(inst.d)
-        problem = make_problem(inst, kernel)
-        lam = resolve_step(spec.lam, problem.smad.L)
-        configs = [
-            BpgConfig(x0=x0, lam=lam, max_iters=spec.max_iters, tol_step=spec.tol_step,
-                      tol_residual=spec.tol_residual)
-            for x0 in draw_starts(inst.d, spec.starts, spec.seed, inst.regularizer)
-        ]
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.starts < 1:
+        raise ValueError(f"--starts must be at least 1, got {args.starts}")
+    reg = _regularizer(args.reg, args.theta, args.s)
+    inst, _ = instances.load_instance(args.instance)
+    if reg is not None:
+        inst = instances.QipInstance(b=inst.b, regularizer=reg, matrices=inst.matrices,
+                                     factors=inst.factors)
+    problem = make_problem(inst, Kernel.quartic(inst.d))
+    lam = resolve_step(args.lam, problem.smad.L)
+    configs = [
+        BpgConfig(x0=x0, lam=lam, max_iters=args.max_iters, tol_step=args.tol_step,
+                  tol_residual=args.tol_residual)
+        for x0 in draw_starts(inst.d, args.starts, args.seed, inst.regularizer)
+    ]
+    workers = _workers(args.starts)
 
-    out = Path(spec.out)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     def one_start(idx):
@@ -131,8 +130,8 @@ def run_from_spec(spec):
         except (DecreaseViolationError, DivergenceError) as exc:
             return idx, None, exc
 
-    with ThreadPoolExecutor(max_workers=_workers(spec.starts)) as pool:
-        results = sorted(pool.map(one_start, range(spec.starts)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = sorted(pool.map(one_start, range(args.starts)))
 
     failed = False
     best = None
@@ -168,62 +167,23 @@ def run_from_spec(spec):
 
 
 def _cmd_generate(args):
-    reg = None
-    if args.reg == "l1":
-        if args.theta is None:
-            print("error: --reg l1 requires --theta", file=sys.stderr)
-            return EXIT_USAGE
-        reg = L1(theta=args.theta)
-    try:
-        payload, _, _ = instances.generate_instance(
-            d=args.d, m=args.m, s_true=args.s_true, noise=args.noise,
-            seed=args.seed, kind=args.kind, regularizer=reg,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    reg = _regularizer(args.reg, args.theta, args.s_true if args.reg == "l0" else None)
+    payload, _, _ = instances.generate_instance(
+        d=args.d, m=args.m, s_true=args.s_true, noise=args.noise,
+        seed=args.seed, kind=args.kind, regularizer=reg,
+    )
     instances.save_instance(payload, args.out)
     print(f"wrote {args.out} (d={args.d}, m={args.m}, kind={args.kind})")
     return EXIT_OK
 
 
-def _cmd_solve(args):
-    lam = None if args.lam == "auto" else _parse_lambda(args.lam)
-    if lam is False:
-        return EXIT_USAGE
-    spec = RunSpec(
-        instance=Path(args.instance), out=Path(args.out), lam=lam,
-        max_iters=args.max_iters, tol_step=args.tol_step,
-        tol_residual=args.tol_residual, seed=args.seed, starts=args.starts,
-        reg=args.reg, theta=args.theta, s=args.s,
-    )
-    try:
-        return run_from_spec(spec)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-
-def _parse_lambda(text):
-    try:
-        lam = float(text)
-    except ValueError:
-        print(f"error: --lambda must be 'auto' or a number, got {text!r}", file=sys.stderr)
-        return False
-    return lam
-
-
 def _cmd_check(args):
-    try:
-        if args.samples < 1:
-            raise ValueError(f"--samples must be at least 1, got {args.samples}")
-        if not (np.isfinite(args.radius) and args.radius > 0):
-            raise ValueError(f"--radius must be finite and positive, got {args.radius}")
-        inst, _ = instances.load_instance(args.instance)
-        cert = inst.smad_certificate()
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if not (np.isfinite(args.radius) and args.radius > 0):
+        raise ValueError(f"--radius must be finite and positive, got {args.radius}")
+    inst, _ = instances.load_instance(args.instance)
+    cert = inst.smad_certificate()
     kernel = Kernel.quartic(inst.d)
     rng = np.random.default_rng(args.seed)
     # uniform in the radius-R ball
@@ -268,7 +228,7 @@ def build_parser():
                      help="override the instance's stored regularizer")
     sol.add_argument("--theta", type=float, default=None)
     sol.add_argument("--s", type=int, default=None)
-    sol.add_argument("--lambda", dest="lam", default="auto",
+    sol.add_argument("--lambda", dest="lam", type=_step_size, default="auto",
                      help="step size: 'auto' (0.99/L) or a number")
     sol.add_argument("--max-iters", dest="max_iters", type=int, default=100_000)
     sol.add_argument("--tol-step", dest="tol_step", type=float, default=1e-9)
@@ -276,7 +236,7 @@ def build_parser():
     sol.add_argument("--starts", type=int, default=1)
     sol.add_argument("--seed", type=int, default=0)
     sol.add_argument("--out", required=True)
-    sol.set_defaults(func=_cmd_solve)
+    sol.set_defaults(func=run_from_spec)
 
     chk = sub.add_parser("check", help="sampled descent-certificate verification")
     chk.add_argument("--instance", required=True)
@@ -289,7 +249,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

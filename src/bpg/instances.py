@@ -55,9 +55,12 @@ def _reg_from_payload(spec):
         raise ValueError("field 'regularizer': expected an object with a 'kind'")
     kind = spec["kind"]
     if kind == "l1":
-        return L1(theta=float.fromhex(spec["theta"]))
+        return L1(theta=float(_dec_vec([spec.get("theta")], "regularizer.theta")[0]))
     if kind == "l0":
-        return L0Ball(s=int(spec["s"]))
+        s = spec.get("s")
+        if type(s) is not int:
+            raise ValueError(f"field 'regularizer.s': expected an integer, got {s!r}")
+        return L0Ball(s=s)
     raise ValueError(f"field 'regularizer.kind': unknown kind {kind!r}")
 
 
@@ -81,14 +84,16 @@ def instance_to_payload(inst, x_true=None):
 
 def payload_to_instance(payload):
     """Decode a payload dict; returns (instance, x_true-or-None)."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
     if payload.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"field 'schema': expected {SCHEMA_VERSION}, got {payload.get('schema')!r}")
     for key in ("d", "m", "encoding", "b", "regularizer"):
         if key not in payload:
             raise ValueError(f"missing required field {key!r}")
-    d, m = int(payload["d"]), int(payload["m"])
-    if d < 1 or m < 1:
-        raise ValueError(f"fields 'd'/'m' must be positive, got d={d}, m={m}")
+    d, m = payload["d"], payload["m"]
+    if type(d) is not int or type(m) is not int or d < 1 or m < 1:
+        raise ValueError(f"fields 'd'/'m' must be positive integers, got d={d!r}, m={m!r}")
     b = _dec_vec(payload["b"], "b")
     if b.size != m:
         raise ValueError(f"field 'b': expected {m} entries, got {b.size}")
@@ -96,7 +101,7 @@ def payload_to_instance(payload):
     encoding = payload["encoding"]
     if encoding == RANK_ONE:
         rows = payload.get("factors")
-        if rows is None or len(rows) != m:
+        if not isinstance(rows, list) or len(rows) != m:
             raise ValueError(f"field 'factors': expected {m} vectors")
         factors = np.stack([_dec_vec(a, "factors") for a in rows])
         if factors.shape != (m, d):
@@ -104,7 +109,7 @@ def payload_to_instance(payload):
         inst = QipInstance(b=b, regularizer=reg, factors=factors)
     elif encoding == DENSE_SYMMETRIC:
         rows = payload.get("matrices")
-        if rows is None or len(rows) != m:
+        if not isinstance(rows, list) or len(rows) != m:
             raise ValueError(f"field 'matrices': expected {m} lower triangles")
         matrices = np.stack([_from_lower_triangle(tri, d, "matrices") for tri in rows])
         inst = QipInstance(b=b, regularizer=reg, matrices=matrices)
@@ -150,7 +155,7 @@ def generate_instance(d, m, s_true, noise, seed, kind=RANK_ONE, regularizer=None
         raise ValueError(f"require d >= 2 and m >= 1, got d={d}, m={m}")
     if not 1 <= s_true < d:
         raise ValueError(f"require 1 <= s_true < d, got s_true={s_true}, d={d}")
-    if noise < 0:
+    if not noise >= 0:
         raise ValueError(f"noise level must be nonnegative, got {noise}")
     if kind not in (RANK_ONE, DENSE_SYMMETRIC):
         raise ValueError(f"unknown measurement kind {kind!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import ENERGY, QUARTIC_PLUS_QUADRATIC, Kernel
+from .kernels import QUARTIC_PLUS_QUADRATIC
 from .smad import SmadCertificate, ANALYTIC_QIP, check_symmetric, spectral_norm
 from .solver import Problem
 
@@ -315,43 +315,28 @@ def _f_value(inst):
     return lambda x: 0.0 if np.count_nonzero(x) <= s else np.inf
 
 
-def make_problem(inst, kernel, L=None, allow_uncertified=False):
-    """Bind a QIP instance and a kernel into a solver-ready Problem.
+def make_problem(inst, kernel, L=None):
+    """Bind a QIP instance and the quartic kernel into a solver-ready Problem.
 
-    The quartic kernel is the certified pairing: the adaptability constant is
-    computed analytically unless a user L is supplied.  The energy kernel
-    yields the classical proximal gradient maps (plain soft/hard threshold of
-    the forward step) but carries no certificate here, so it is accepted only
-    with an explicit user L and ``allow_uncertified=True``.
+    The quartic-plus-quadratic kernel is the only pairing with a certificate
+    for quadratic measurements, so any other kernel is rejected.  The
+    adaptability constant is computed analytically unless a user L is
+    supplied.
     """
     if kernel.dimension != inst.d:
         raise ValueError(f"kernel dimension {kernel.dimension} != instance dimension {inst.d}")
+    if kernel.kind != QUARTIC_PLUS_QUADRATIC:
+        raise ValueError(f"kernel {kernel.kind!r} carries no certificate for quadratic "
+                         "measurements; use the quartic kernel")
     reg = inst.regularizer
-
-    if kernel.kind == QUARTIC_PLUS_QUADRATIC:
-        cert = SmadCertificate(L=float(L), source="user-supplied") if L is not None \
-            else inst.smad_certificate()
-        if isinstance(reg, L1):
-            def prox_map(x, lam):
-                return prox_l1(p_lambda(inst, kernel, lam, x), lam * reg.theta)
-        else:
-            def prox_map(x, lam):
-                return prox_l0(p_lambda(inst, kernel, lam, x), reg.s)
-    elif kernel.kind == ENERGY:
-        if L is None or not allow_uncertified:
-            raise ValueError(
-                "energy kernel is uncertified for quadratic measurements; "
-                "pass a user L and allow_uncertified=True to override"
-            )
-        cert = SmadCertificate(L=float(L), source="user-supplied")
-        if isinstance(reg, L1):
-            def prox_map(x, lam):
-                return soft_threshold(x - lam * qip_gradient(inst, x), lam * reg.theta)
-        else:
-            def prox_map(x, lam):
-                return hard_threshold(x - lam * qip_gradient(inst, x), reg.s)
+    cert = SmadCertificate(L=float(L), source="user-supplied") if L is not None \
+        else inst.smad_certificate()
+    if isinstance(reg, L1):
+        def prox_map(x, lam):
+            return prox_l1(p_lambda(inst, kernel, lam, x), lam * reg.theta)
     else:
-        raise ValueError(f"unsupported kernel kind {kernel.kind!r}")
+        def prox_map(x, lam):
+            return prox_l0(p_lambda(inst, kernel, lam, x), reg.s)
 
     return Problem(
         g_value=lambda x: qip_value(inst, x),

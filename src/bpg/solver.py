@@ -84,6 +84,8 @@ class BpgConfig:
             raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
         if not self.tol_step >= 0:
             raise ValueError(f"tol_step must be nonnegative, got {self.tol_step}")
+        if self.tol_residual is not None and not self.tol_residual >= 0:
+            raise ValueError(f"tol_residual must be nonnegative, got {self.tol_residual}")
 
 
 def resolve_step(config_lam, L):

@@ -14,6 +14,14 @@ from bpg.instances import (
 )
 
 
+def exit_code(argv):
+    """main's exit code, including argparse's SystemExit on an unparsable flag."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestGenerate:
     def test_noiseless_ground_truth_fits_exactly(self):
         _, inst, x_true = generate_instance(d=6, m=10, s_true=2, noise=0.0, seed=3)
@@ -34,6 +42,8 @@ class TestGenerate:
             generate_instance(d=4, m=3, s_true=4, noise=0.0, seed=0)
         with pytest.raises(ValueError):
             generate_instance(d=4, m=3, s_true=1, noise=-0.5, seed=0)
+        with pytest.raises(ValueError):
+            generate_instance(d=4, m=3, s_true=1, noise=float("nan"), seed=0)
 
     def test_cli_generate(self, tmp_path):
         out = tmp_path / "inst.json"
@@ -43,6 +53,19 @@ class TestGenerate:
         inst, x_true = load_instance(out)
         assert inst.d == 5 and inst.m == 8
         assert np.count_nonzero(x_true) == 2
+
+    @pytest.mark.parametrize("args, out", [
+        (["--reg", "l1", "--theta", "-1"], "inst.json"),
+        (["--theta", "0.5"], "inst.json"),
+        (["--noise", "nan"], "inst.json"),
+        ([], "missing/inst.json"),
+    ], ids=["negative-theta", "theta-without-l1", "noise-nan", "missing-directory"])
+    def test_bad_input_writes_nothing(self, tmp_path, capsys, args, out):
+        code = main(["generate", "--d", "5", "--m", "8", "--s-true", "2", *args,
+                     "--out", str(tmp_path / out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRoundTrip:
@@ -113,6 +136,24 @@ class TestValidation:
         save_instance(payload, path)
         with pytest.raises(ValueError, match="'b'"):
             load_instance(path)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda p: [p], "JSON object"),
+        (lambda p: {**p, "regularizer": {"kind": "l1"}}, "regularizer.theta"),
+        (lambda p: {**p, "regularizer": {"kind": "l1", "theta": 0.1}}, "regularizer.theta"),
+        (lambda p: {**p, "regularizer": {"kind": "l0"}}, "regularizer.s"),
+        (lambda p: {**p, "d": None}, "'d'"),
+        (lambda p: {**p, "factors": 3}, "'factors'"),
+    ], ids=["not-an-object", "theta-missing", "theta-not-a-string", "s-missing", "d-null",
+            "factors-not-a-list"])
+    def test_payload_shape_rejected(self, tmp_path, capsys, edit, field):
+        payload, _, _ = generate_instance(d=4, m=4, s_true=1, noise=0.0, seed=0)
+        path = tmp_path / "bad.json"
+        save_instance(edit(payload), path)
+        with pytest.raises(ValueError, match=field):
+            load_instance(path)
+        assert main(["check", "--instance", str(path)]) == 2
+        assert f"error: {path}: " in capsys.readouterr().err
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -189,14 +230,32 @@ class TestSolve:
         assert "error: --starts" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("args", [["--max-iters", "-1"], ["--tol-step", "-0.5"],
-                                      ["--tol-step", "nan"]],
-                             ids=["max-iters", "tol-step", "tol-step-nan"])
+    @pytest.mark.parametrize("args", [
+        ["--max-iters", "-1"],
+        ["--tol-step", "-0.5"],
+        ["--tol-step", "nan"],
+        ["--tol-residual", "nan"],
+        ["--tol-residual", "-1"],
+        ["--theta", "0.5"],
+        ["--reg", "l1", "--theta", "0.1", "--s", "2"],
+        ["--reg", "l0"],
+        ["--lambda", "big"],
+    ], ids=["max-iters", "tol-step", "tol-step-nan", "tol-residual-nan", "tol-residual",
+            "theta-without-reg", "s-with-l1", "l0-without-s", "lambda-text"])
     def test_bad_run_parameters_leave_no_output(self, instance_path, tmp_path, capsys, args):
         out = tmp_path / "run"
-        code = main(["solve", "--instance", str(instance_path), *args, "--out", str(out)])
+        code = exit_code(["solve", "--instance", str(instance_path), *args, "--out", str(out)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_workers_env_leaves_no_output(self, instance_path, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setenv("BPG_WORKERS", "abc")
+        out = tmp_path / "run"
+        code = main(["solve", "--instance", str(instance_path), "--out", str(out)])
+        assert code == 2
+        assert "error: BPG_WORKERS" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -372,19 +372,10 @@ class TestMakeProblem:
     def test_energy_kernel_requires_override(self):
         rng = np.random.default_rng(37)
         inst = random_dense_instance(rng, d=3, m=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no certificate"):
             make_problem(inst, Kernel.energy(3))
-        with pytest.raises(ValueError):
-            make_problem(inst, Kernel.energy(3), L=5.0)  # flag still missing
-
-    def test_energy_kernel_gives_classical_maps(self):
-        rng = np.random.default_rng(38)
-        inst = random_dense_instance(rng, d=3, m=4, regularizer=L1(theta=0.2))
-        prob = make_problem(inst, Kernel.energy(3), L=100.0, allow_uncertified=True)
-        x = rng.standard_normal(3)
-        lam = 0.005
-        expected = soft_threshold(x - lam * qip_gradient(inst, x), lam * 0.2)
-        np.testing.assert_allclose(prob.prox_map(x, lam), expected, atol=1e-14)
+        with pytest.raises(ValueError, match="no certificate"):
+            make_problem(inst, Kernel.energy(3), L=5.0)  # a user L does not certify it
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(39)
