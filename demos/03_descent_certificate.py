@@ -4,9 +4,10 @@ The solver's step size is justified by the inequality
 
     |g(x) - g(y) - <grad g(y), x - y>|  <=  L * D_h(x, y)
 
-with L computed analytically from the measurement matrices.  This script
+with the certified constant L* = max(3 lambda_max(sum_i A_i^2),
+||sum_i b_i A_i||) computed from the measurement matrices.  This script
 samples many point pairs and confirms the inequality holds with margin, then
-shows that shrinking L breaks it -- the certificate is tight in kind, not
+shows that shrinking L* breaks it -- the certificate is tight in kind, not
 vacuous.
 """
 
@@ -35,15 +36,15 @@ def main():
     _, inst, _ = generate_instance(d=8, m=20, s_true=2, noise=0.1, seed=4,
                                    kind="dense-symmetric")
     cert = inst.smad_certificate()
-    print(f"analytic constant L = {cert.L:.4e} ({cert.source})")
+    print(f"certified constant L* = {cert.L:.4e} ({cert.source})")
 
     report = audit(inst, cert.L)
-    print(f"certified L: {report.n_violations} violations over 20000 pairs, "
+    print(f"certified L*: {report.n_violations} violations over 20000 pairs, "
           f"worst margin {report.worst_margin:.3e}")
 
     for shrink in (10.0, 1e3):
         bad = audit(inst, cert.L / shrink)
-        print(f"L / {shrink:g}: {bad.n_violations} violations "
+        print(f"L* / {shrink:g}: {bad.n_violations} violations "
               f"(worst margin {bad.worst_margin:.3e})")
 
 

@@ -7,6 +7,7 @@ factor vectors a_i with A_i = a_i a_i^T.
 """
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -22,26 +23,44 @@ def _enc_vec(v):
     return [x.hex() for x in np.asarray(v, dtype=float).tolist()]
 
 
-def _dec_vec(vals, field):
+def _dec_vec(vals, field, count=-1):
     try:
-        return np.array([float.fromhex(x) for x in vals], dtype=float)
+        return np.fromiter(map(float.fromhex, vals), float, count)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"field {field!r}: expected hexadecimal float strings ({exc})") from None
+
+
+def _dec_list(vals, n, field):
+    """Decode a list of n hexadecimal float strings."""
+    if not isinstance(vals, list) or len(vals) != n:
+        raise ValueError(f"field {field!r}: expected a list of {n} entries")
+    return _dec_vec(vals, field, n)
+
+
+def _check_rows(rows, m, n, field):
+    """Raise unless ``rows`` is a list of m lists of n entries each."""
+    if not isinstance(rows, list) or len(rows) != m:
+        raise ValueError(f"field {field!r}: expected a list of {m} rows")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            raise ValueError(f"field {field!r}: row {i} is not a list of {n} entries")
 
 
 def _lower_triangle(A):
     return _enc_vec(A[np.tril_indices(A.shape[0])])
 
 
-def _from_lower_triangle(vals, d, field):
-    flat = _dec_vec(vals, field)
-    if flat.size != d * (d + 1) // 2:
-        raise ValueError(f"field {field!r}: expected {d * (d + 1) // 2} entries, got {flat.size}")
-    rows, cols = np.tril_indices(d)
-    A = np.zeros((d, d))
-    A[rows, cols] = flat
-    A[cols, rows] = flat
-    return A
+def _dec_matrices(rows, m, d):
+    """Decode m row-major lower triangles into a symmetric (m, d, d) stack."""
+    n = d * (d + 1) // 2
+    _check_rows(rows, m, n, "matrices")
+    lower = np.tril_indices(d)
+    matrices = np.empty((m, d, d))
+    for A, tri in zip(matrices, rows):
+        A[lower] = _dec_vec(tri, "matrices", n)
+    # mirror every lower triangle into its upper one in a single copy
+    np.copyto(matrices, np.swapaxes(matrices, 1, 2), where=~np.tri(d, dtype=bool))
+    return matrices
 
 
 def _reg_to_payload(reg):
@@ -94,32 +113,22 @@ def payload_to_instance(payload):
     d, m = payload["d"], payload["m"]
     if type(d) is not int or type(m) is not int or d < 1 or m < 1:
         raise ValueError(f"fields 'd'/'m' must be positive integers, got d={d!r}, m={m!r}")
-    b = _dec_vec(payload["b"], "b")
-    if b.size != m:
-        raise ValueError(f"field 'b': expected {m} entries, got {b.size}")
+    b = _dec_list(payload["b"], m, "b")
     reg = _reg_from_payload(payload["regularizer"])
     encoding = payload["encoding"]
     if encoding == RANK_ONE:
         rows = payload.get("factors")
-        if not isinstance(rows, list) or len(rows) != m:
-            raise ValueError(f"field 'factors': expected {m} vectors")
-        factors = np.stack([_dec_vec(a, "factors") for a in rows])
-        if factors.shape != (m, d):
-            raise ValueError(f"field 'factors': expected shape ({m}, {d}), got {factors.shape}")
+        _check_rows(rows, m, d, "factors")
+        factors = _dec_vec(chain.from_iterable(rows), "factors", m * d).reshape(m, d)
         inst = QipInstance(b=b, regularizer=reg, factors=factors)
     elif encoding == DENSE_SYMMETRIC:
-        rows = payload.get("matrices")
-        if not isinstance(rows, list) or len(rows) != m:
-            raise ValueError(f"field 'matrices': expected {m} lower triangles")
-        matrices = np.stack([_from_lower_triangle(tri, d, "matrices") for tri in rows])
+        matrices = _dec_matrices(payload.get("matrices"), m, d)
         inst = QipInstance(b=b, regularizer=reg, matrices=matrices)
     else:
         raise ValueError(f"field 'encoding': unknown encoding {encoding!r}")
     x_true = payload.get("x_true")
     if x_true is not None:
-        x_true = _dec_vec(x_true, "x_true")
-        if x_true.size != d:
-            raise ValueError(f"field 'x_true': expected {d} entries, got {x_true.size}")
+        x_true = _dec_list(x_true, d, "x_true")
     return inst, x_true
 
 

@@ -8,6 +8,12 @@ quartic-plus-quadratic kernel, the Bregman proximal step has an explicit
 solution for both an l1 penalty and an l0-ball (sparsity) constraint; each
 reduces to a thresholding operation plus a scalar cubic root, which the prox
 solves by a safeguarded Newton loop on Python floats.
+
+The certified adaptability constant (source ``qip-gram``) is
+L* = max(3*lam, beta), lam = lambda_max(sum_i A_i^2), beta = ||sum_i b_i A_i||:
+hess h(x) >= (1 + ||x||^2) I, and Cauchy-Schwarz gives |u^T hess g(x) u| <=
+(3*lam*||x||^2 + beta) ||u||^2.  It never exceeds the paper's
+sum_i (3*||A_i||^2 + ||A_i||*|b_i|).
 """
 
 import math
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import QUARTIC_PLUS_QUADRATIC
-from .smad import SmadCertificate, ANALYTIC_QIP, check_symmetric, spectral_norm
+from .smad import QIP_GRAM, SmadCertificate, check_symmetric
 from .solver import Problem
 
 
@@ -42,6 +48,11 @@ class L0Ball:
             raise ValueError(f"sparsity level must be a positive integer, got {self.s}")
 
 
+def _check_finite(a, name):
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+
+
 class QipInstance:
     """A quadratic-measurement instance: matrices A_i, data b, regularizer.
 
@@ -56,11 +67,14 @@ class QipInstance:
         self.b = np.asarray(b, dtype=float)
         if self.b.ndim != 1 or self.b.size < 1:
             raise ValueError(f"b must be a nonempty vector, got shape {self.b.shape}")
+        _check_finite(self.b, "b")
         if matrices is not None:
             # contiguous, so that the oracle's (m*d, d) row view is a view
             matrices = np.ascontiguousarray(matrices, dtype=float)
             if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
                 raise ValueError(f"matrices must have shape (m, d, d), got {matrices.shape}")
+            # before the symmetry check, which a NaN gap passes
+            _check_finite(matrices, "matrices")
             check_symmetric(matrices)
             self.matrices = matrices
             self.factors = None
@@ -69,6 +83,7 @@ class QipInstance:
             factors = np.asarray(factors, dtype=float)
             if factors.ndim != 2:
                 raise ValueError(f"factors must have shape (m, d), got {factors.shape}")
+            _check_finite(factors, "factors")
             self.matrices = None
             self.factors = factors
             m, d = factors.shape
@@ -88,18 +103,25 @@ class QipInstance:
             return self.matrices
         return np.einsum("mi,mj->mij", self.factors, self.factors)
 
-    def matrix_norms(self):
-        """Spectral norm of each A_i: ||a_i||^2 for rank-one factors, else from eigvalsh."""
-        if self.factors is not None:
-            return np.sum(self.factors**2, axis=1)
-        return spectral_norm(self.matrices)
-
     def smad_certificate(self):
-        norms = self.matrix_norms()
-        L = float(np.sum(3.0 * norms**2 + norms * np.abs(self.b)))
+        """L* = max(3 lambda_max(sum_i A_i^2), ||sum_i b_i A_i||) from one ``eigvalsh``.
+
+        The pair comes from one Gram product: R^T R over the (m*d, d) row view
+        R of a dense stack, or F^T diag(w) F for rank-one factors F, with
+        w = ||a_i||^2 and w = b.
+        """
+        if self.factors is not None:
+            F = self.factors
+            weights = np.array([np.einsum("ij,ij->i", F, F), self.b])
+            pair = F.T @ (weights[:, :, None] * F)
+        else:
+            rows = self.matrices.reshape(-1, self.d)
+            pair = np.array([rows.T @ rows, np.tensordot(self.b, self.matrices, 1)])
+        gram, data = np.linalg.eigvalsh(pair).tolist()
+        L = max(3.0 * gram[-1], -data[0], data[-1])
         if not L > 0:
             raise ValueError("instance has only zero measurement matrices")
-        return SmadCertificate(L=L, source=ANALYTIC_QIP)
+        return SmadCertificate(L=L, source=QIP_GRAM)
 
 
 def _check_point(inst, x):
@@ -320,8 +342,9 @@ def make_problem(inst, kernel, L=None):
 
     The quartic-plus-quadratic kernel is the only pairing with a certificate
     for quadratic measurements, so any other kernel is rejected.  The
-    adaptability constant is computed analytically unless a user L is
-    supplied.
+    adaptability constant is the instance's certified L* (source
+    ``qip-gram``, see :meth:`QipInstance.smad_certificate`) unless a user L
+    is supplied.
     """
     if kernel.dimension != inst.d:
         raise ValueError(f"kernel dimension {kernel.dimension} != instance dimension {inst.d}")

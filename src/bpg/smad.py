@@ -7,16 +7,17 @@ L*h + g convex, which is equivalent to the two-sided bound
 
 This module provides the certificate type, spectral norms from numpy's
 ``eigvalsh``, and a sampling-based checker for the bound itself.
-``QipInstance.smad_certificate`` builds the analytic constant for quartic
-measurement objectives, the sum over measurements of
-3*||A_i||^2 + ||A_i||*|b_i|, from these norms.
+``QipInstance.smad_certificate`` builds the constant for quartic measurement
+objectives, L* = max(3*lambda_max(sum_i A_i^2), ||sum_i b_i A_i||), with
+source ``QIP_GRAM``; :mod:`bpg.qip` gives its Cauchy-Schwarz derivation.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-ANALYTIC_QIP = "analytic-qip"
+QIP_GRAM = "qip-gram"
 USER_SUPPLIED = "user-supplied"
 
 _SYMMETRY_TOL = 1e-10
@@ -30,7 +31,7 @@ class SmadCertificate:
     source: str = USER_SUPPLIED
 
     def __post_init__(self):
-        if not (self.L > 0 and np.isfinite(self.L)):
+        if not (self.L > 0 and math.isfinite(self.L)):
             raise ValueError(f"adaptability constant must be positive and finite, got {self.L}")
 
 

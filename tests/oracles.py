@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to freeze expected values.
 
 These deliberately avoid the library's computational paths: spectral norms
-come from a dense eigendecomposition, scalar roots from plain bisection, and
-prox maps from grid refinement / support enumeration on the defining
-objectives.
+come from a dense eigendecomposition, adaptability constants from sums over
+the measurement matrices rather than a Gram product, scalar roots from plain
+bisection, and prox maps from grid refinement / support enumeration on the
+defining objectives.
 """
 
 from itertools import combinations
@@ -13,6 +14,20 @@ import numpy as np
 
 def eig_spectral_norm(A):
     return float(np.max(np.abs(np.linalg.eigvalsh(np.asarray(A, dtype=float)))))
+
+
+def paper_qip_constant(matrices, b):
+    """The paper's adaptability constant sum_i (3 ||A_i||^2 + ||A_i|| |b_i|)."""
+    norms = [eig_spectral_norm(A) for A in matrices]
+    return sum(3.0 * nu**2 + nu * abs(float(bi)) for nu, bi in zip(norms, b))
+
+
+def eig_qip_gram_constant(matrices, b):
+    """L* = max(3 lambda_max(sum_i A_i^2), ||sum_i b_i A_i||), summed term by term."""
+    mats = [np.asarray(A, dtype=float) for A in matrices]
+    squares = sum(A @ A for A in mats)
+    data = sum(float(bi) * A for A, bi in zip(mats, b))
+    return max(3.0 * eig_spectral_norm(squares), eig_spectral_norm(data))
 
 
 def bisect_root(f, lo, hi, iters=200):

@@ -144,8 +144,10 @@ class TestValidation:
         (lambda p: {**p, "regularizer": {"kind": "l0"}}, "regularizer.s"),
         (lambda p: {**p, "d": None}, "'d'"),
         (lambda p: {**p, "factors": 3}, "'factors'"),
+        (lambda p: {**p, "b": "1234"}, "'b'"),
+        (lambda p: {**p, "x_true": "abcd"}, "'x_true'"),
     ], ids=["not-an-object", "theta-missing", "theta-not-a-string", "s-missing", "d-null",
-            "factors-not-a-list"])
+            "factors-not-a-list", "b-a-string", "x-true-a-string"])
     def test_payload_shape_rejected(self, tmp_path, capsys, edit, field):
         payload, _, _ = generate_instance(d=4, m=4, s_true=1, noise=0.0, seed=0)
         path = tmp_path / "bad.json"
@@ -154,6 +156,40 @@ class TestValidation:
             load_instance(path)
         assert main(["check", "--instance", str(path)]) == 2
         assert f"error: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, field", [
+        ("rank-one", "b"), ("dense-symmetric", "b"),
+        ("rank-one", "factors"), ("dense-symmetric", "matrices"),
+    ])
+    def test_non_finite_data_rejected(self, tmp_path, capsys, kind, field):
+        payload, _, _ = generate_instance(d=4, m=4, s_true=1, noise=0.0, seed=0, kind=kind)
+        if field == "b":
+            payload["b"][1] = "nan"
+        else:
+            payload[field][-1][0] = "nan"
+        path = tmp_path / "bad.json"
+        save_instance(payload, path)
+        assert main(["check", "--instance", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: {field} must be finite" in err
+        assert "only zero measurement matrices" not in err
+
+    @pytest.mark.parametrize("kind, field, n", [
+        ("rank-one", "factors", 4), ("dense-symmetric", "matrices", 10),
+    ])
+    @pytest.mark.parametrize("edit", [
+        lambda row, n: row[:-1],
+        lambda row, n: row + row[:1],
+        lambda row, n: ",".join(row),
+        lambda row, n: None,
+        lambda row, n: row[:n - 2] + ["0x1.zzp+0"] + row[n - 1:],
+    ], ids=["short-row", "long-row", "row-a-string", "row-null", "non-hex-in-last-row"])
+    def test_bad_rows_name_the_field(self, kind, field, n, edit):
+        payload, _, _ = generate_instance(d=4, m=5, s_true=1, noise=0.0, seed=0, kind=kind)
+        assert len(payload[field][-1]) == n
+        payload[field][-1] = edit(payload[field][-1], n)
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            payload_to_instance(payload)
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -51,6 +51,16 @@ class TestInstance:
         with pytest.raises(ValueError):
             QipInstance(b=[1.0], regularizer=L1(0.1), matrices=[A])
 
+    @pytest.mark.parametrize("field", ["b", "matrices", "factors"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, field, bad):
+        data = {"b": np.ones(2), "matrices": np.stack([np.eye(2)] * 2)}
+        if field == "factors":
+            data = {"b": np.ones(2), "factors": np.ones((2, 2))}
+        data[field].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            QipInstance(regularizer=L1(0.1), **data)
+
     def test_rejects_bad_sparsity(self):
         with pytest.raises(ValueError):
             QipInstance(b=[1.0], regularizer=L0Ball(s=2), matrices=[np.eye(2)])
@@ -66,7 +76,8 @@ class TestInstance:
         x = rng.standard_normal(3)
         assert qip_value(r1, x) == pytest.approx(qip_value(dense, x), rel=1e-12)
         np.testing.assert_allclose(qip_gradient(r1, x), qip_gradient(dense, x), rtol=1e-12)
-        np.testing.assert_allclose(r1.matrix_norms(), dense.matrix_norms(), rtol=1e-8)
+        # both encodings certify the same L*
+        assert r1.smad_certificate().L == pytest.approx(dense.smad_certificate().L, rel=1e-10)
 
 
 class TestObjective:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import ball_samples, random_dense_instance
-from oracles import eig_spectral_norm
+from oracles import eig_qip_gram_constant, eig_spectral_norm, paper_qip_constant
 
 from bpg import (
     L1,
@@ -64,10 +64,20 @@ def qip_certificate(matrices, b):
 
 
 class TestQipSmadConstant:
+    """The paper's constant, pinned on its oracle, and the certified L*.
+
+    Random instances draw the matrix scale over five decades, so that either
+    term of L* = max(3 lambda, beta) can be the larger.
+    """
+
     def test_identity_single_measurement(self):
+        assert paper_qip_constant([np.eye(2)], [1.0]) == pytest.approx(4.0)
+
+    def test_identity_certificate(self):
+        # max(3 * lambda_max(I^2), ||1 * I||) = max(3, 1)
         cert = qip_certificate([np.eye(2)], [1.0])
-        assert cert.L == pytest.approx(4.0)
-        assert cert.source == "analytic-qip"
+        assert cert.L == pytest.approx(3.0, rel=1e-12)
+        assert cert.source == "qip-gram"
 
     def test_diagonal_zero_measurement(self):
         cert = qip_certificate([np.diag([2.0, 0.0])], [0.0])
@@ -84,7 +94,7 @@ class TestQipSmadConstant:
             3.0 * eig_spectral_norm(A) ** 2 + eig_spectral_norm(A) * abs(bi)
             for A, bi in zip(mats, b)
         )
-        assert qip_certificate(mats, b).L == pytest.approx(expected, rel=1e-8)
+        assert paper_qip_constant(mats, b) == pytest.approx(expected, rel=1e-8)
 
     def test_non_symmetric_rejected(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -103,19 +113,50 @@ class TestQipSmadConstant:
         c = 2.5
         nu = eig_spectral_norm(A)
         expected = 3.0 * c**2 * nu**2 + c * nu * 0.7
-        assert qip_certificate([c * A], b).L == pytest.approx(expected, rel=1e-10)
+        assert paper_qip_constant([c * A], b) == pytest.approx(expected, rel=1e-10)
 
     def test_monotone_in_measurements(self):
+        # with zero data L* = 3 lambda_max(sum A_i^2), which only grows as
+        # measurements are added
         rng = np.random.default_rng(14)
-        mats, b = [], []
+        mats = []
         prev = 0.0
         for _ in range(5):
             raw = rng.standard_normal((3, 3))
             mats.append(0.5 * (raw + raw.T))
-            b.append(float(rng.standard_normal()))
-            L = qip_certificate(mats, b).L
+            L = qip_certificate(mats, np.zeros(len(mats))).L
             assert L >= prev
             prev = L
+
+    def test_data_terms_can_cancel(self):
+        # sum b_i A_i vanishes, so L* drops where the paper's constant doubles
+        assert qip_certificate([np.eye(2)], [100.0]).L == pytest.approx(100.0, rel=1e-12)
+        assert qip_certificate([np.eye(2)] * 2, [100.0, -100.0]).L == pytest.approx(6.0, rel=1e-12)
+        assert paper_qip_constant([np.eye(2)] * 2, [100.0, -100.0]) == pytest.approx(206.0)
+
+    def test_matches_gram_free_oracle(self):
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            d, m = int(rng.integers(2, 9)), int(rng.integers(1, 13))
+            scale = 10.0 ** rng.uniform(-4, 1)
+            dense = random_dense_instance(rng, d, m, scale=scale)
+            rank_one = QipInstance(b=dense.b, regularizer=L1(0.1),
+                                   factors=np.sqrt(scale) * rng.standard_normal((m, d)))
+            for inst in (dense, rank_one):
+                expected = eig_qip_gram_constant(inst.dense_matrices(), inst.b)
+                assert inst.smad_certificate().L == pytest.approx(expected, rel=1e-10)
+
+    def test_not_above_paper_constant(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            d, m = int(rng.integers(2, 13)), int(rng.integers(1, 41))
+            scale = 10.0 ** rng.uniform(-4, 1)
+            dense = random_dense_instance(rng, d, m, scale=scale)
+            rank_one = QipInstance(b=dense.b, regularizer=L1(0.1),
+                                   factors=np.sqrt(scale) * rng.standard_normal((m, d)))
+            for inst in (dense, rank_one):
+                paper = paper_qip_constant(inst.dense_matrices(), inst.b)
+                assert inst.smad_certificate().L <= paper * (1.0 + 1e-12)
 
 
 class TestSmadCertificate:
