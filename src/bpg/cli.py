@@ -11,9 +11,9 @@ Each verb is a function of the parsed arguments.  ``main`` is the one error
 boundary: a ``ValueError`` or ``OSError`` from any verb prints ``error: ...``
 and exits 2, and every verb checks its input before it writes anything.
 
-Worker count for concurrent starts can be overridden with the ``BPG_WORKERS``
-environment variable.  Trace CSVs are written with the wall-clock column
-zeroed so identical seeds produce byte-identical artifacts.
+Starts run on a thread pool of ``min(starts, cpu_count)`` workers.  Trace
+CSVs are written with the wall-clock column zeroed so identical seeds produce
+byte-identical artifacts.
 """
 
 import argparse
@@ -43,16 +43,6 @@ EXIT_DIAGNOSTIC = 3
 EXIT_CHECK_FAILED = 4
 
 START_RADII = (0.1, 1.0, 10.0)
-
-
-def _workers(starts):
-    env = os.environ.get("BPG_WORKERS")
-    if not env:
-        return max(1, min(starts, os.cpu_count() or 1))
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(f"BPG_WORKERS must be an integer, got {env!r}") from None
 
 
 def _step_size(text):
@@ -119,23 +109,22 @@ def run_from_spec(args):
                   tol_residual=args.tol_residual)
         for x0 in draw_starts(inst.d, args.starts, args.seed, inst.regularizer)
     ]
-    workers = _workers(args.starts)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def one_start(idx):
+    def one_start(config):
         try:
-            return idx, run_bpg(problem, configs[idx]), None
+            return run_bpg(problem, config), None
         except (DecreaseViolationError, DivergenceError) as exc:
-            return idx, None, exc
+            return None, exc
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = sorted(pool.map(one_start, range(args.starts)))
+    with ThreadPoolExecutor(max_workers=min(args.starts, os.cpu_count() or 1)) as pool:
+        results = list(pool.map(one_start, configs))
 
     failed = False
     best = None
-    for idx, result, err in results:
+    for idx, (result, err) in enumerate(results):
         if err is not None:
             failed = True
             summary = {"start": idx, "error": type(err).__name__, "message": str(err)}

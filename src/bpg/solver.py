@@ -16,6 +16,7 @@ gap, the step norm and the witness norm (the stationarity residual).
 
 import csv
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -80,8 +81,8 @@ class BpgConfig:
         self.x0 = np.asarray(self.x0, dtype=float)
         if not np.all(np.isfinite(self.x0)):
             raise ValueError("starting point must be finite")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 0):
+            raise ValueError(f"max_iters must be a nonnegative integer, got {self.max_iters!r}")
         if not self.tol_step >= 0:
             raise ValueError(f"tol_step must be nonnegative, got {self.tol_step}")
         if self.tol_residual is not None and not self.tol_residual >= 0:
@@ -176,11 +177,12 @@ class SolveResult:
         return self.trace.witness_norm[-1]
 
     def summary(self):
+        """JSON-ready fields; the witness norm is None before the first step."""
         return {
             "termination": self.reason,
             "iterations": int(self.iterations),
             "final_psi": float(self.final_psi),
-            "final_witness_norm": float(self.final_witness_norm),
+            "final_witness_norm": float(self.final_witness_norm) if self.iterations else None,
         }
 
 

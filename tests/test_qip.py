@@ -314,6 +314,19 @@ class TestProxL1:
         p = rng.standard_normal(5)
         np.testing.assert_allclose(prox_l1(-p, 0.3), -prox_l1(p, 0.3), atol=1e-14)
 
+    def test_radial_optimality_across_scales(self):
+        # u = (grad h)^{-1}(-S(p)): ||u||^3 + ||u|| = ||S(p)||
+        rng = np.random.default_rng(33)
+        tau = 0.1
+        for target in 10.0 ** np.linspace(-4, 4, 81):
+            direction = rng.standard_normal(6)
+            v = target * direction / np.linalg.norm(direction)
+            p = v + tau * np.sign(v)  # soft-thresholds back to v
+            nv = float(np.linalg.norm(soft_threshold(p, tau)))
+            assert nv == pytest.approx(target, rel=1e-12)
+            nu = float(np.linalg.norm(prox_l1(p, tau)))
+            assert abs(nu**3 + nu - nv) <= 1e-13 * (1.0 + nv)
+
 
 class TestProxL0:
     def test_zero_driver(self):

@@ -116,6 +116,21 @@ class TestRunBpg:
         res = run_bpg(prob, BpgConfig(x0=np.ones(2), lam=0.5, max_iters=0))
         assert res.iterations == 0
         assert res.reason == "max_iters"
+        assert res.summary()["final_witness_norm"] is None
+
+    @pytest.mark.parametrize("field, value", [
+        ("x0", np.array([1.0, np.nan])),
+        ("max_iters", -1),
+        ("max_iters", 1e3),
+        ("max_iters", "10"),
+        ("tol_step", np.nan),
+        ("tol_residual", -1.0),
+    ])
+    def test_config_validation(self, field, value):
+        fields = {"x0": np.ones(2), field: value}
+        name = "starting point" if field == "x0" else field
+        with pytest.raises(ValueError, match=name):
+            BpgConfig(**fields)
 
     def test_step_size_validation(self):
         prob = quadratic_problem([0.0, 0.0])
