@@ -64,8 +64,9 @@ class TestInstance:
     def test_rejects_bad_sparsity(self):
         with pytest.raises(ValueError):
             QipInstance(b=[1.0], regularizer=L0Ball(s=2), matrices=[np.eye(2)])
-        with pytest.raises(ValueError):
-            L0Ball(s=0)
+        for bad in (0, 2.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="sparsity level"):
+                L0Ball(s=bad)
 
     def test_rank_one_dense_agree(self):
         rng = np.random.default_rng(20)
@@ -182,6 +183,12 @@ class TestThresholds:
         y = np.array([1.0, -2.0, 0.0])
         np.testing.assert_array_equal(soft_threshold(y, 0.0), y)
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_bad_threshold_rejected(self, bad):
+        for shrink in (soft_threshold, prox_l1):
+            with pytest.raises(ValueError, match="threshold must be nonnegative"):
+                shrink(np.ones(3), bad)
+
     def test_soft_matches_scalar_oracle(self):
         # per-coordinate minimization of tau|x| + (x - y)^2 / 2 by bisection
         # on the stationarity condition, equivalent to grid refinement
@@ -210,10 +217,9 @@ class TestThresholds:
         )
 
     def test_hard_out_of_range(self):
-        with pytest.raises(ValueError):
-            hard_threshold(np.ones(3), 0)
-        with pytest.raises(ValueError):
-            hard_threshold(np.ones(3), 4)
+        for bad in (0, 4, 2.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="sparsity level"):
+                hard_threshold(np.ones(3), bad)
 
     def test_hard_norm_matches_enumeration(self):
         # ||H_s(a)|| is the max of <a, z> over unit vectors with s nonzeros
@@ -247,6 +253,17 @@ class TestCubics:
         eta = cubic_root_l0(a)
         assert np.all(np.abs(eta**3 + eta - a) <= 1e-12 * (1.0 + a))
         assert np.all(eta >= 0)
+
+    def test_matches_bisection_at_every_magnitude(self):
+        c = np.append(10.0 ** np.linspace(-300, 300, 2001), 1.7e308)
+        eta = cubic_root_l0(c)
+        # cbrt(c) + 1 bounds the root from above; c**(1/3) may fall below it
+        oracle = np.array([bisect_root(lambda u: u**3 + u - ci, 0.0, min(ci, np.cbrt(ci) + 1.0))
+                           for ci in c])
+        assert np.max(np.abs(eta - oracle) / np.spacing(oracle)) <= 4.0
+        a = c[:-1]
+        t = cubic_root_l1(a)
+        assert np.max(np.abs(a * t**3 + t - 1.0) / (1.0 + a)) <= 1e-15
 
     def test_monotonicity(self):
         a = np.sort(10.0 ** np.random.default_rng(28).uniform(-6, 6, 100))
@@ -369,8 +386,9 @@ class TestProxL0:
         np.testing.assert_allclose(prox_l0(-p, 2), -prox_l0(p, 2), atol=1e-14)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            prox_l0(np.ones(3), 3)
+        for bad in (3, 2.0, np.nan):
+            with pytest.raises(ValueError):
+                prox_l0(np.ones(3), bad)
 
 
 class TestMakeProblem:
