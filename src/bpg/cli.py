@@ -100,7 +100,7 @@ def run_from_spec(args):
     reg = _regularizer(args.reg, args.theta, args.s)
     inst, _ = instances.load_instance(args.instance)
     if reg is not None:
-        inst = instances.QipInstance(b=inst.b, regularizer=reg, matrices=inst.matrices,
+        inst = instances.QipInstance(b=inst.b, regularizer=reg, lower=inst.lower,
                                      factors=inst.factors)
     problem = make_problem(inst, Kernel.quartic(inst.d))
     lam = resolve_step(args.lam, problem.smad.L)

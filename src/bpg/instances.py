@@ -2,8 +2,10 @@
 
 Files are JSON with every floating point number serialized as a hexadecimal
 float literal (``float.hex``), which round-trips bit-exactly.  Dense symmetric
-matrices are stored as row-major lower triangles; rank-one instances store the
-factor vectors a_i with A_i = a_i a_i^T.
+matrices are stored as row-major lower triangles, which is also how
+``QipInstance`` holds them (``lower``, one row per matrix), so a load decodes
+the rows straight into that array and a save encodes them as they are.
+Rank-one instances store the factor vectors a_i with A_i = a_i a_i^T.
 """
 
 import json
@@ -37,30 +39,14 @@ def _dec_list(vals, n, field):
     return _dec_vec(vals, field, n)
 
 
-def _check_rows(rows, m, n, field):
-    """Raise unless ``rows`` is a list of m lists of n entries each."""
+def _dec_rows(rows, m, n, field):
+    """Decode a list of m lists of n hexadecimal float strings into an (m, n) array."""
     if not isinstance(rows, list) or len(rows) != m:
         raise ValueError(f"field {field!r}: expected a list of {m} rows")
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise ValueError(f"field {field!r}: row {i} is not a list of {n} entries")
-
-
-def _lower_triangle(A):
-    return _enc_vec(A[np.tril_indices(A.shape[0])])
-
-
-def _dec_matrices(rows, m, d):
-    """Decode m row-major lower triangles into a symmetric (m, d, d) stack."""
-    n = d * (d + 1) // 2
-    _check_rows(rows, m, n, "matrices")
-    lower = np.tril_indices(d)
-    matrices = np.empty((m, d, d))
-    for A, tri in zip(matrices, rows):
-        A[lower] = _dec_vec(tri, "matrices", n)
-    # mirror every lower triangle into its upper one in a single copy
-    np.copyto(matrices, np.swapaxes(matrices, 1, 2), where=~np.tri(d, dtype=bool))
-    return matrices
+    return _dec_vec(chain.from_iterable(rows), field, m * n).reshape(m, n)
 
 
 def _reg_to_payload(reg):
@@ -97,7 +83,7 @@ def instance_to_payload(inst, x_true=None):
         payload["factors"] = [_enc_vec(a) for a in inst.factors]
     else:
         payload["encoding"] = DENSE_SYMMETRIC
-        payload["matrices"] = [_lower_triangle(A) for A in inst.matrices]
+        payload["matrices"] = [_enc_vec(tri) for tri in inst.lower]
     return payload
 
 
@@ -117,13 +103,11 @@ def payload_to_instance(payload):
     reg = _reg_from_payload(payload["regularizer"])
     encoding = payload["encoding"]
     if encoding == RANK_ONE:
-        rows = payload.get("factors")
-        _check_rows(rows, m, d, "factors")
-        factors = _dec_vec(chain.from_iterable(rows), "factors", m * d).reshape(m, d)
+        factors = _dec_rows(payload.get("factors"), m, d, "factors")
         inst = QipInstance(b=b, regularizer=reg, factors=factors)
     elif encoding == DENSE_SYMMETRIC:
-        matrices = _dec_matrices(payload.get("matrices"), m, d)
-        inst = QipInstance(b=b, regularizer=reg, matrices=matrices)
+        lower = _dec_rows(payload.get("matrices"), m, d * (d + 1) // 2, "matrices")
+        inst = QipInstance(b=b, regularizer=reg, lower=lower)
     else:
         raise ValueError(f"field 'encoding': unknown encoding {encoding!r}")
     x_true = payload.get("x_true")

@@ -1,13 +1,16 @@
 """Sparse quadratic inverse problems and their closed-form Bregman prox maps.
 
 The smooth data term is g(x) = 1/4 * sum_i (x^T A_i x - b_i)^2 for symmetric
-measurement matrices A_i.  Dense instances evaluate it from one BLAS
-matrix-vector product that gives every A_i x at once; rank-one instances
-A_i = a_i a_i^T from the m inner products a_i^T x.  Paired with the
-quartic-plus-quadratic kernel, the Bregman proximal step has an explicit
-solution for both an l1 penalty and an l0-ball (sparsity) constraint, and
-both are the same map: threshold the vector p of :func:`p_lambda` to
-v = S(p) (soft) or H_s(p) (hard), then return
+measurement matrices A_i.  Dense instances keep each A_i once, as its packed
+lower triangle, and evaluate g from one BLAS matrix-vector product of the
+(m, d(d+1)/2) packed stack with the pair products x_j x_k; the gradient
+unpacks sum_i r_i A_i from one product of the residuals with the same stack.
+Rank-one instances A_i = a_i a_i^T use the m inner products a_i^T x.
+
+Paired with the quartic-plus-quadratic kernel, the Bregman proximal step has
+an explicit solution for both an l1 penalty and an l0-ball (sparsity)
+constraint, and both are the same map: threshold the vector p of
+:func:`p_lambda` to v = S(p) (soft) or H_s(p) (hard), then return
 (grad h)^{-1}(-v) = -(eta / ||v||) v, where eta is the root of the one cubic
 eta^3 + eta = ||v||, given in closed form by the triple-angle identity
 sinh(3u) = 3 sinh(u) + 4 sinh(u)^3 and polished by one Newton step.
@@ -60,37 +63,54 @@ def _check_finite(a, name):
 class QipInstance:
     """A quadratic-measurement instance: matrices A_i, data b, regularizer.
 
-    Matrices are stored either dense-symmetric with shape (m, d, d), or as
-    rank-one factors with shape (m, d) so that A_i = a_i a_i^T (the phase
-    retrieval case), which enables O(m*d) objective/gradient evaluation.
+    A dense-symmetric stack is stored once, as the C-contiguous (m, n) array
+    ``lower`` of row-major lower triangles, n = d(d+1)/2 in ``np.tril_indices``
+    order: the instance file's layout.  Pass it as ``lower=``, or pass the
+    full (m, d, d) stack as ``matrices=``, which must be finite and symmetric
+    to within a 1e-10 share of its largest entry and is packed on the way in.
+    Rank-one instances store the factors, shape (m, d), so that
+    A_i = a_i a_i^T (the phase retrieval case), for O(m*d) evaluation.
     """
 
-    def __init__(self, b, regularizer, matrices=None, factors=None):
-        if (matrices is None) == (factors is None):
-            raise ValueError("provide exactly one of matrices= or factors=")
+    def __init__(self, b, regularizer, matrices=None, factors=None, lower=None):
+        if sum(a is not None for a in (matrices, factors, lower)) != 1:
+            raise ValueError("provide exactly one of matrices=, lower= or factors=")
         self.b = np.asarray(b, dtype=float)
         if self.b.ndim != 1 or self.b.size < 1:
             raise ValueError(f"b must be a nonempty vector, got shape {self.b.shape}")
         _check_finite(self.b, "b")
-        if matrices is not None:
-            # contiguous, so that the oracle's (m*d, d) row view is a view
-            matrices = np.ascontiguousarray(matrices, dtype=float)
-            if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
-                raise ValueError(f"matrices must have shape (m, d, d), got {matrices.shape}")
-            # before the symmetry check, which a NaN gap passes
-            _check_finite(matrices, "matrices")
-            check_symmetric(matrices)
-            self.matrices = matrices
-            self.factors = None
-            m, d = matrices.shape[0], matrices.shape[1]
-        else:
+        self.lower = self.factors = None
+        if factors is not None:
             factors = np.asarray(factors, dtype=float)
             if factors.ndim != 2:
                 raise ValueError(f"factors must have shape (m, d), got {factors.shape}")
             _check_finite(factors, "factors")
-            self.matrices = None
             self.factors = factors
             m, d = factors.shape
+        else:
+            if matrices is not None:
+                matrices = np.asarray(matrices, dtype=float)
+                if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
+                    raise ValueError(f"matrices must have shape (m, d, d), got {matrices.shape}")
+                # before the symmetry check, which a NaN gap passes
+                _check_finite(matrices, "matrices")
+                check_symmetric(matrices)
+                rows, cols = np.tril_indices(matrices.shape[1])
+                lower = matrices[:, rows, cols]
+            lower = np.ascontiguousarray(lower, dtype=float)
+            n = lower.shape[1] if lower.ndim == 2 else 0
+            d = (math.isqrt(8 * n + 1) - 1) // 2
+            if n < 1 or d * (d + 1) // 2 != n:
+                raise ValueError(f"lower must have shape (m, d(d+1)/2), got {lower.shape}")
+            m = lower.shape[0]
+            _check_finite(lower, "matrices")
+            self.lower = lower
+            rows, cols = np.tril_indices(d)
+            # packed index of entry (j, k) of a symmetric matrix
+            self._unpack = np.empty((d, d), dtype=np.intp)
+            self._unpack[rows, cols] = self._unpack[cols, rows] = np.arange(n)
+            self._pairs = rows, cols
+            self._weight = np.where(rows == cols, 1.0, 2.0)
         if self.b.shape != (m,):
             raise ValueError(f"b has shape {self.b.shape}, expected ({m},)")
         if not isinstance(regularizer, (L1, L0Ball)):
@@ -102,25 +122,25 @@ class QipInstance:
         self.m = m
 
     def dense_matrices(self):
-        """The measurement matrices as a dense (m, d, d) array."""
-        if self.matrices is not None:
-            return self.matrices
+        """The measurement matrices as a new dense (m, d, d) array."""
+        if self.lower is not None:
+            return self.lower.take(self._unpack, axis=1)
         return np.einsum("mi,mj->mij", self.factors, self.factors)
 
     def smad_certificate(self):
         """L* = max(3 lambda_max(sum_i A_i^2), ||sum_i b_i A_i||) from one ``eigvalsh``.
 
-        The pair comes from one Gram product: R^T R over the (m*d, d) row view
-        R of a dense stack, or F^T diag(w) F for rank-one factors F, with
-        w = ||a_i||^2 and w = b.
+        The pair comes from one Gram product: R^T R over the (m*d, d) rows R
+        of the unpacked dense stack, or F^T diag(w) F for rank-one factors F,
+        with w = ||a_i||^2 and w = b.  sum_i b_i A_i is b @ lower, unpacked.
         """
         if self.factors is not None:
             F = self.factors
             weights = np.array([np.einsum("ij,ij->i", F, F), self.b])
             pair = F.T @ (weights[:, :, None] * F)
         else:
-            rows = self.matrices.reshape(-1, self.d)
-            pair = np.array([rows.T @ rows, np.tensordot(self.b, self.matrices, 1)])
+            rows = self.dense_matrices().reshape(-1, self.d)
+            pair = np.array([rows.T @ rows, (self.b @ self.lower)[self._unpack]])
         gram, data = np.linalg.eigvalsh(pair).tolist()
         L = max(3.0 * gram[-1], -data[0], data[-1])
         if not L > 0:
@@ -136,18 +156,19 @@ def _check_point(inst, x):
 
 
 def _residuals(inst, x):
-    """Residuals x^T A_i x - b_i and the products they are built from.
+    """Residuals x^T A_i x - b_i, batched over the leading axes of x.
 
-    Batched over the leading axes of x.  Rank-one instances give the products
-    a_i^T x, shape (..., m).  Dense instances give A_i x, shape (..., m, d),
-    from one BLAS product of x with the (m*d, d) row view of the stack: row
-    (i, j) of that view is A_i[j].
+    Rank-one instances also give the products a_i^T x, shape (..., m).  Dense
+    instances take x^T A_i x from one BLAS product of the packed stack with
+    the pair products w = x_j x_k over the lower triangle, weighted 2 off the
+    diagonal; they give None in place of the products.
     """
     if inst.factors is not None:
         ax = x @ inst.factors.T
         return ax * ax - inst.b, ax
-    Ax = (x @ inst.matrices.reshape(-1, inst.d).T).reshape(*x.shape[:-1], inst.m, inst.d)
-    return (Ax @ x[..., None])[..., 0] - inst.b, Ax
+    rows, cols = inst._pairs
+    w = x[..., rows] * x[..., cols] * inst._weight
+    return w @ inst.lower.T - inst.b, None
 
 
 def qip_value(inst, x):
@@ -158,12 +179,17 @@ def qip_value(inst, x):
 
 
 def qip_gradient(inst, x):
-    """Analytic gradient sum_i (x^T A_i x - b_i) A_i x (each A_i symmetric)."""
+    """Analytic gradient sum_i (x^T A_i x - b_i) A_i x (each A_i symmetric).
+
+    Dense instances unpack S = sum_i r_i A_i from the one packed row r @ lower
+    and return S x.
+    """
     x = _check_point(inst, x)
     r, ax = _residuals(inst, x)
     if inst.factors is not None:
         return (r * ax) @ inst.factors
-    return (r[..., None, :] @ ax)[..., 0, :]
+    S = (r @ inst.lower)[..., inst._unpack]
+    return (S @ x[..., None])[..., 0]
 
 
 def p_lambda(inst, kernel, lam, x):

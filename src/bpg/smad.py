@@ -22,6 +22,12 @@ USER_SUPPLIED = "user-supplied"
 
 _SYMMETRY_TOL = 1e-10
 
+# check_descent_lemma evaluates pairs in blocks of this many, so that its
+# memory does not grow with the number of samples: a dense oracle call holds
+# a few (pairs, d(d+1)/2) and (pairs, d, d) temporaries, about 70 MB per 1024
+# pairs at d=64, m=256.
+PAIR_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class SmadCertificate:
@@ -36,11 +42,18 @@ class SmadCertificate:
 
 
 def check_symmetric(A, tol=_SYMMETRY_TOL):
-    """Return A as a float array; raise unless it (each matrix of a stack) is symmetric."""
+    """Return A as a float array; raise unless it (each matrix of a stack) is symmetric.
+
+    The tolerance is relative to the largest |A| of the whole array, so that
+    rounding passes at any scale and a gap at the scale of the entries fails.
+    """
     A = np.asarray(A, dtype=float)
-    gap = float(np.max(np.abs(A - np.swapaxes(A, -1, -2)))) if A.size else 0.0
-    if gap > tol:
-        raise ValueError(f"matrix is not symmetric: max |A - A^T| = {gap:.3e} > {tol:.1e}")
+    if A.size:
+        gap = float(np.max(np.abs(A - np.swapaxes(A, -1, -2))))
+        bound = tol * float(np.max(np.abs(A)))
+        if gap > bound:
+            raise ValueError(f"matrix is not symmetric: max |A - A^T| = {gap:.3e} > {bound:.1e}"
+                             f" ({tol:.0e} of max |A|)")
     return A
 
 
@@ -81,10 +94,10 @@ class DescentReport:
 def check_descent_lemma(g_value, g_gradient, kernel, L, xs, ys, rel_slack=1e-9):
     """Verify the extended descent bound on sampled point pairs.
 
-    ``g_value`` and ``g_gradient`` must accept batched input of shape (n, d).
-    Returns a :class:`DescentReport`; it never raises on a failed bound.
-    Raises ValueError when the samples differ in shape, are empty or are not
-    finite.
+    ``g_value`` and ``g_gradient`` must accept batched input of shape (n, d);
+    they and the kernel see at most ``PAIR_BLOCK`` pairs per call.  Returns a
+    :class:`DescentReport`; it never raises on a failed bound.  Raises
+    ValueError when the samples differ in shape, are empty or are not finite.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
@@ -94,13 +107,15 @@ def check_descent_lemma(g_value, g_gradient, kernel, L, xs, ys, rel_slack=1e-9):
         raise ValueError("no sample pairs given")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise ValueError("sample points must be finite")
-    dh = np.atleast_1d(kernel.bregman(xs, ys))
-    dg = np.atleast_1d(
-        g_value(xs) - g_value(ys) - np.sum(g_gradient(ys) * (xs - ys), axis=-1)
-    )
-    margins = L * dh - np.abs(dg)
-    slack = rel_slack * (1.0 + np.abs(dg) + L * dh)
-    bad = ~(margins >= -slack)
+    margins, slacks = [], []
+    for start in range(0, len(xs), PAIR_BLOCK):
+        x, y = xs[start:start + PAIR_BLOCK], ys[start:start + PAIR_BLOCK]
+        dh = np.atleast_1d(kernel.bregman(x, y))
+        dg = np.atleast_1d(g_value(x) - g_value(y) - np.sum(g_gradient(y) * (x - y), axis=-1))
+        margins.append(L * dh - np.abs(dg))
+        slacks.append(rel_slack * (1.0 + np.abs(dg) + L * dh))
+    margins = np.concatenate(margins)
+    bad = ~(margins >= -np.concatenate(slacks))
     return DescentReport(
         margins=margins,
         n_violations=int(np.count_nonzero(bad)),

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected values.
 
-These deliberately avoid the library's computational paths: spectral norms
-come from a dense eigendecomposition, adaptability constants from sums over
+These deliberately avoid the library's computational paths: the dense
+quadratic-measurement oracle contracts the full (m, d, d) stack with einsum,
+spectral norms come from a dense eigendecomposition, adaptability constants from sums over
 the measurement matrices rather than a Gram product, scalar roots from plain
 bisection, and prox maps from grid refinement / support enumeration on the
 defining objectives.
@@ -10,6 +11,19 @@ defining objectives.
 from itertools import combinations
 
 import numpy as np
+
+
+def einsum_qip_value(matrices, b, x):
+    """g(x) = 1/4 sum_i (x^T A_i x - b_i)^2 over the full stack, batched over x."""
+    r = np.einsum("...j,ijk,...k->...i", x, matrices, x) - b
+    return 0.25 * np.einsum("...i,...i->...", r, r)
+
+
+def einsum_qip_gradient(matrices, b, x):
+    """grad g(x) = sum_i (x^T A_i x - b_i) A_i x over the full stack, batched over x."""
+    Ax = np.einsum("ijk,...k->...ij", matrices, x)
+    r = np.einsum("...j,...ij->...i", x, Ax) - b
+    return np.einsum("...i,...ij->...j", r, Ax)
 
 
 def eig_spectral_norm(A):

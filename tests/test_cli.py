@@ -75,9 +75,22 @@ class TestRoundTrip:
         path = tmp_path / "inst.json"
         save_instance(payload, path)
         loaded, x_loaded = load_instance(path)
-        np.testing.assert_array_equal(loaded.matrices, inst.matrices)
+        np.testing.assert_array_equal(loaded.lower, inst.lower)
         np.testing.assert_array_equal(loaded.b, inst.b)
         np.testing.assert_array_equal(x_loaded, x_true)
+
+    def test_dense_packed_rows_bit_exact(self, tmp_path):
+        payload, inst, _ = generate_instance(d=7, m=5, s_true=2, noise=0.1, seed=12,
+                                             kind="dense-symmetric")
+        path = tmp_path / "inst.json"
+        save_instance(payload, path)
+        loaded, _ = load_instance(path)
+        rows = [[float.fromhex(v) for v in tri] for tri in payload["matrices"]]
+        assert loaded.lower.tobytes() == np.array(rows).tobytes() == inst.lower.tobytes()
+        full = loaded.dense_matrices()
+        assert full.shape == (5, 7, 7)
+        np.testing.assert_array_equal(full, np.swapaxes(full, 1, 2))
+        assert instance_to_payload(loaded)["matrices"] == payload["matrices"]
 
     def test_rank_one_bit_exact(self, tmp_path):
         payload, inst, _ = generate_instance(d=4, m=6, s_true=1, noise=0.0, seed=10)
@@ -100,7 +113,7 @@ class TestRoundTrip:
         expected = np.array([[1.0, -0.5, 0.1],
                              [-0.5, 2.0, 3.0],
                              [0.1, 3.0, -1.5]])
-        np.testing.assert_array_equal(inst.matrices[0], expected)
+        np.testing.assert_array_equal(inst.dense_matrices()[0], expected)
         assert instance_to_payload(inst)["matrices"] == [tri]
 
     def test_l1_regularizer_round_trip(self):
@@ -259,6 +272,23 @@ class TestSolve:
             a = (outs[0] / f"trace_{i:03d}.csv").read_bytes()
             b = (outs[1] / f"trace_{i:03d}.csv").read_bytes()
             assert a == b
+
+    def test_dense_generate_and_solve_reproducible(self, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            assert main(["generate", "--d", "6", "--m", "12", "--s-true", "2", "--seed", "8",
+                         "--kind", "dense-symmetric", "--reg", "l1", "--theta", "0.1",
+                         "--out", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        outs = [tmp_path / "r1", tmp_path / "r2"]
+        for out in outs:
+            assert main(["solve", "--instance", str(paths[0]), "--max-iters", "300",
+                         "--starts", "3", "--seed", "4", "--out", str(out)]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        assert {"best.json", "trace_002.csv", "summary_002.json"} <= set(names)
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_missing_instance(self, tmp_path, capsys):
         code = main(["solve", "--instance", str(tmp_path / "nope.json"),

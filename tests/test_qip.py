@@ -4,6 +4,8 @@ import pytest
 from conftest import random_dense_instance
 from oracles import (
     bisect_root,
+    einsum_qip_gradient,
+    einsum_qip_value,
     enum_prox_l0,
     enum_truncation_max,
     fd_gradient,
@@ -47,9 +49,52 @@ class TestInstance:
             QipInstance(b=[1.0], regularizer=L1(0.1))
 
     def test_rejects_non_symmetric(self):
-        A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            QipInstance(b=[1.0], regularizer=L1(0.1), matrices=[A])
+        # the tolerance scales with the largest |A|, so a tiny matrix whose
+        # only entry is the gap is as asymmetric as a unit one
+        for gap in (1.0, 5e-11):
+            A = np.array([[0.0, gap], [0.0, 0.0]])
+            with pytest.raises(ValueError, match="not symmetric"):
+                QipInstance(b=[1.0], regularizer=L1(0.1), matrices=[A])
+
+    def test_accepts_rounding_asymmetry_at_scale(self):
+        # Q diag Q^T at scale 1e6 is symmetric only to rounding: its gap
+        # reaches past an absolute 1e-10 but stays near 1e-16 of its largest entry
+        rng = np.random.default_rng(27)
+        gaps = []
+        for _ in range(10):
+            Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+            A = 1e6 * (Q * rng.uniform(-1.0, 1.0, 6)) @ Q.T
+            gaps.append(np.max(np.abs(A - A.T)))
+            assert gaps[-1] < 1e-14 * np.max(np.abs(A))
+            inst = QipInstance(b=[1.0], regularizer=L1(0.1), matrices=[A])
+            np.testing.assert_array_equal(inst.lower[0], A[np.tril_indices(6)])
+        assert max(gaps) > 1e-10
+
+    def test_packed_stack_is_the_only_copy(self):
+        rng = np.random.default_rng(28)
+        d, m = 64, 256
+        inst = random_dense_instance(rng, d=d, m=m)
+        n = d * (d + 1) // 2
+        assert inst.lower.shape == (m, n) and inst.lower.flags.c_contiguous
+        assert inst.lower.nbytes == m * n * 8
+        held = [v for v in vars(inst).values() if isinstance(v, np.ndarray)]
+        assert max(v.size for v in held) == m * n
+        assert not hasattr(inst, "matrices")
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 4), (2, 0), (2, 3, 3)])
+    def test_lower_needs_triangular_rows(self, shape):
+        with pytest.raises(ValueError, match="lower must have shape"):
+            QipInstance(b=np.ones(2), regularizer=L1(0.1), lower=np.ones(shape))
+
+    def test_lower_and_matrices_agree(self):
+        rng = np.random.default_rng(29)
+        full = random_dense_instance(rng, d=5, m=4)
+        packed = QipInstance(b=full.b, regularizer=full.regularizer, lower=full.lower)
+        assert packed.d == 5 and packed.m == 4
+        np.testing.assert_array_equal(packed.dense_matrices(), full.dense_matrices())
+        with pytest.raises(ValueError, match="exactly one"):
+            QipInstance(b=full.b, regularizer=full.regularizer, lower=full.lower,
+                        matrices=full.dense_matrices())
 
     @pytest.mark.parametrize("field", ["b", "matrices", "factors"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -144,6 +189,36 @@ class TestBatchedOracle:
             assert values[tuple(idx)] == pytest.approx(triple_loop_value(inst, x), rel=1e-12)
             fd = fd_gradient(lambda u: qip_value(inst, u), x)
             np.testing.assert_allclose(grads[tuple(idx)], fd, rtol=1e-6, atol=1e-7)
+
+
+class TestPackedOracle:
+    """The packed dense oracle against full-stack einsum contractions."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 64])
+    @pytest.mark.parametrize("batch", [(), (6,), (2, 3)], ids=["single", "n", "n1-n2"])
+    def test_matches_full_stack_einsum(self, d, batch):
+        rng = np.random.default_rng(30 + d)
+        m = 2 * d + 1
+        for scale in 10.0 ** np.arange(-2, 4):  # five decades
+            raw = rng.standard_normal((m, d, d))
+            matrices = scale * 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
+            b = scale * rng.standard_normal(m)
+            inst = QipInstance(b=b, regularizer=L1(0.1), matrices=matrices)
+            x = rng.standard_normal(batch + (d,))
+            value, grad = qip_value(inst, x), qip_gradient(inst, x)
+            assert np.shape(value) == batch and grad.shape == batch + (d,)
+            np.testing.assert_allclose(value, einsum_qip_value(matrices, b, x), rtol=1e-12)
+            expected = einsum_qip_gradient(matrices, b, x)
+            err = np.linalg.norm(grad - expected, axis=-1)
+            assert np.all(err <= 1e-12 * np.linalg.norm(expected, axis=-1))
+
+    def test_dense_matrices_exactly_symmetric(self):
+        rng = np.random.default_rng(35)
+        inst = random_dense_instance(rng, d=7, m=3, scale=1e3)
+        full = inst.dense_matrices()
+        np.testing.assert_array_equal(full, np.swapaxes(full, 1, 2))
+        rows, cols = np.tril_indices(7)
+        np.testing.assert_array_equal(full[:, rows, cols], inst.lower)
 
 
 class TestPLambda:

@@ -12,6 +12,7 @@ from bpg import (
     check_descent_lemma,
     qip_value,
     qip_gradient,
+    smad,
     spectral_norm,
 )
 
@@ -49,8 +50,14 @@ class TestSpectralNorm:
             assert spectral_norm(A) == pytest.approx(2.0, rel=1e-12)
 
     def test_non_symmetric_rejected(self):
-        with pytest.raises(ValueError, match="not symmetric"):
-            spectral_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        for gap in (1.0, 5e-11):
+            with pytest.raises(ValueError, match="not symmetric"):
+                spectral_norm(np.array([[0.0, gap], [0.0, 0.0]]))
+
+    def test_rounding_asymmetry_accepted_at_any_scale(self):
+        A = np.array([[2.0, 1.0], [1.0 + 1e-15, -3.0]])
+        for scale in (1e-12, 1.0, 1e12):
+            assert spectral_norm(scale * A) == pytest.approx(scale * eig_spectral_norm(A), rel=1e-12)
 
     def test_stack_gives_per_matrix_norms(self):
         stack = np.stack([np.diag([1.0, -3.0, 2.0]), np.diag([0.5, 0.0, -0.25]), np.zeros((3, 3))])
@@ -97,9 +104,10 @@ class TestQipSmadConstant:
         assert paper_qip_constant(mats, b) == pytest.approx(expected, rel=1e-8)
 
     def test_non_symmetric_rejected(self):
-        A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            qip_certificate([A], [0.0])
+        for gap in (1.0, 5e-11):
+            A = np.array([[0.0, gap], [0.0, 0.0]])
+            with pytest.raises(ValueError, match="not symmetric"):
+                qip_certificate([A], [0.0])
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
@@ -227,3 +235,44 @@ class TestDescentLemma:
         assert np.isnan(report.margins).all()
         assert not report.passed
         assert report.n_violations == 2
+
+    def test_blocks_match_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        inst = random_dense_instance(rng, d=4, m=6)
+        k = Kernel.quartic(4)
+        L = inst.smad_certificate().L / 10.0  # some pairs violate
+        xs, ys = ball_samples(rng, 50, 4, 10.0), ball_samples(rng, 50, 4, 10.0)
+        seen = []
+
+        def recorded(f):
+            def call(x):
+                seen.append(len(x))
+                return f(x)
+            return call
+
+        g_value = recorded(lambda x: qip_value(inst, x))
+        g_gradient = recorded(lambda x: qip_gradient(inst, x))
+        monkeypatch.setattr(smad, "PAIR_BLOCK", 16)
+        blocked = check_descent_lemma(g_value, g_gradient, k, L, xs, ys)
+        assert max(seen) == 16 and sum(seen) == 3 * 50
+        monkeypatch.setattr(smad, "PAIR_BLOCK", 50)
+        whole = check_descent_lemma(g_value, g_gradient, k, L, xs, ys)
+        assert seen[-3:] == [50] * 3
+        np.testing.assert_allclose(blocked.margins, whole.margins, rtol=1e-12)
+        assert 0 < blocked.n_violations == whole.n_violations
+        assert blocked.worst_margin == pytest.approx(whole.worst_margin, rel=1e-12)
+
+    def test_default_block_bounds_every_call(self):
+        k = Kernel.energy(2)
+        rng = np.random.default_rng(20)
+        n = 2 * smad.PAIR_BLOCK + 7
+        xs, ys = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+        seen = []
+
+        def value(x):
+            seen.append(len(x))
+            return k.value(x)
+
+        report = check_descent_lemma(value, k.gradient, k, 1.0, xs, ys)
+        assert seen == [smad.PAIR_BLOCK] * 4 + [7] * 2
+        assert report.margins.shape == (n,) and report.passed
