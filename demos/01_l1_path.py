@@ -2,12 +2,12 @@
 
 Generates a small noisy instance, runs the Bregman proximal gradient method
 from a few random starts with the certified step size, and prints the best
-run's guarantees together with its convergence-rate fit.
+run's guarantees.
 """
 
 import numpy as np
 
-from bpg import BpgConfig, Kernel, L1, make_problem, min_gap_bound, rate_fit, run_bpg
+from bpg import BpgConfig, Kernel, L1, make_problem, min_gap_bound, run_bpg
 from bpg.cli import draw_starts
 from bpg.instances import generate_instance
 
@@ -33,10 +33,6 @@ def main():
             observed, bound = min_gap_bound(res.trace, lam, prob.smad.L, 0.0, n=n)
             print(f"min Bregman gap over first {n:>4} steps: "
                   f"{observed:.3e} <= bound {bound:.3e}")
-
-    fit = rate_fit(res.trace)
-    print(f"rate fit: {fit.regime} (tau={fit.tau:.4f}, "
-          f"R^2 geo={fit.r2_geometric:.3f} / sub={fit.r2_sublinear:.3f})")
 
     # measurements are invariant under x -> -x, so compare up to global sign
     err = min(np.linalg.norm(res.x - x_true),

@@ -19,11 +19,9 @@ from .solver import (
     DivergenceError,
     IterateTrace,
     Problem,
-    RateReport,
     SolveResult,
     bpg_step,
     min_gap_bound,
-    rate_fit,
     run_bpg,
 )
 from .qip import (
@@ -48,8 +46,7 @@ __all__ = [
     "DescentReport", "SmadCertificate", "check_descent_lemma",
     "spectral_norm",
     "BpgConfig", "DecreaseViolationError", "DivergenceError", "IterateTrace",
-    "Problem", "RateReport", "SolveResult", "bpg_step", "min_gap_bound",
-    "rate_fit", "run_bpg",
+    "Problem", "SolveResult", "bpg_step", "min_gap_bound", "run_bpg",
     "L0Ball", "L1", "QipInstance", "cubic_root_l0", "cubic_root_l1",
     "hard_threshold", "make_problem", "p_lambda", "prox_l0", "prox_l1",
     "qip_gradient", "qip_value", "soft_threshold",

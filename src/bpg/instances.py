@@ -1,57 +1,52 @@
 """Instance file schema, round-trip exact serialization, and synthetic generation.
 
-Files are JSON with every floating point number serialized as a hexadecimal
-float literal (``float.hex``), which round-trips bit-exactly.  Dense symmetric
-matrices are stored as row-major lower triangles, which is also how
-``QipInstance`` holds them (``lower``, one row per matrix), so a load decodes
-the rows straight into that array and a save encodes them as they are.
-Rank-one instances store the factor vectors a_i with A_i = a_i a_i^T.
+Files are JSON objects in which every float array (``b``, ``x_true``, the
+packed ``matrices`` rows, ``factors`` and the 0-d ``regularizer.theta``) is
+one base64 string of its little-endian float64 bytes in C order, which
+round-trips bit-exactly.  Dense symmetric matrices are stored as row-major
+lower triangles, which is also how ``QipInstance`` holds them (``lower``,
+one row per matrix), so a load decodes the bytes straight into that array
+and a save encodes it as it is.  Rank-one instances store the factor vectors
+a_i with A_i = a_i a_i^T.
 """
 
+import base64
 import json
-from itertools import chain
+import math
 
 import numpy as np
 
 from .qip import L0Ball, L1, QipInstance, qip_value
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 DENSE_SYMMETRIC = "dense-symmetric"
 RANK_ONE = "rank-one"
 
 
-def _enc_vec(v):
-    return [x.hex() for x in np.asarray(v, dtype=float).tolist()]
+def _encode(a):
+    """Base64 of the little-endian float64 bytes of a, in C order."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _dec_vec(vals, field, count=-1):
+def _decode(text, shape, field):
+    """A new writable float64 array of the given shape from its :func:`_encode` text."""
+    if not isinstance(text, str):
+        raise ValueError(f"field {field!r}: expected a base64 string, got {type(text).__name__}")
     try:
-        return np.fromiter(map(float.fromhex, vals), float, count)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"field {field!r}: expected hexadecimal float strings ({exc})") from None
-
-
-def _dec_list(vals, n, field):
-    """Decode a list of n hexadecimal float strings."""
-    if not isinstance(vals, list) or len(vals) != n:
-        raise ValueError(f"field {field!r}: expected a list of {n} entries")
-    return _dec_vec(vals, field, n)
-
-
-def _dec_rows(rows, m, n, field):
-    """Decode a list of m lists of n hexadecimal float strings into an (m, n) array."""
-    if not isinstance(rows, list) or len(rows) != m:
-        raise ValueError(f"field {field!r}: expected a list of {m} rows")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise ValueError(f"field {field!r}: row {i} is not a list of {n} entries")
-    return _dec_vec(chain.from_iterable(rows), field, m * n).reshape(m, n)
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise ValueError(f"field {field!r}: invalid base64 ({exc})") from None
+    count = math.prod(shape)
+    if len(raw) != 8 * count:
+        raise ValueError(f"field {field!r}: expected {8 * count} bytes ({count} float64 values), "
+                         f"got {len(raw)}")
+    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
 
 
 def _reg_to_payload(reg):
     if isinstance(reg, L1):
-        return {"kind": "l1", "theta": float(reg.theta).hex()}
+        return {"kind": "l1", "theta": _encode(reg.theta)}
     return {"kind": "l0", "s": int(reg.s)}
 
 
@@ -60,7 +55,7 @@ def _reg_from_payload(spec):
         raise ValueError("field 'regularizer': expected an object with a 'kind'")
     kind = spec["kind"]
     if kind == "l1":
-        return L1(theta=float(_dec_vec([spec.get("theta")], "regularizer.theta")[0]))
+        return L1(theta=float(_decode(spec.get("theta"), (), "regularizer.theta")))
     if kind == "l0":
         s = spec.get("s")
         if type(s) is not int:
@@ -74,16 +69,16 @@ def instance_to_payload(inst, x_true=None):
         "schema": SCHEMA_VERSION,
         "d": inst.d,
         "m": inst.m,
-        "b": _enc_vec(inst.b),
+        "b": _encode(inst.b),
         "regularizer": _reg_to_payload(inst.regularizer),
-        "x_true": None if x_true is None else _enc_vec(x_true),
+        "x_true": None if x_true is None else _encode(x_true),
     }
     if inst.factors is not None:
         payload["encoding"] = RANK_ONE
-        payload["factors"] = [_enc_vec(a) for a in inst.factors]
+        payload["factors"] = _encode(inst.factors)
     else:
         payload["encoding"] = DENSE_SYMMETRIC
-        payload["matrices"] = [_enc_vec(tri) for tri in inst.lower]
+        payload["matrices"] = _encode(inst.lower)
     return payload
 
 
@@ -92,27 +87,28 @@ def payload_to_instance(payload):
     if not isinstance(payload, dict):
         raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
     if payload.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"field 'schema': expected {SCHEMA_VERSION}, got {payload.get('schema')!r}")
+        raise ValueError(f"field 'schema': expected {SCHEMA_VERSION}, got {payload.get('schema')!r}; "
+                         "regenerate the file with 'bpg generate'")
     for key in ("d", "m", "encoding", "b", "regularizer"):
         if key not in payload:
             raise ValueError(f"missing required field {key!r}")
     d, m = payload["d"], payload["m"]
     if type(d) is not int or type(m) is not int or d < 1 or m < 1:
         raise ValueError(f"fields 'd'/'m' must be positive integers, got d={d!r}, m={m!r}")
-    b = _dec_list(payload["b"], m, "b")
+    b = _decode(payload["b"], (m,), "b")
     reg = _reg_from_payload(payload["regularizer"])
     encoding = payload["encoding"]
     if encoding == RANK_ONE:
-        factors = _dec_rows(payload.get("factors"), m, d, "factors")
+        factors = _decode(payload.get("factors"), (m, d), "factors")
         inst = QipInstance(b=b, regularizer=reg, factors=factors)
     elif encoding == DENSE_SYMMETRIC:
-        lower = _dec_rows(payload.get("matrices"), m, d * (d + 1) // 2, "matrices")
+        lower = _decode(payload.get("matrices"), (m, d * (d + 1) // 2), "matrices")
         inst = QipInstance(b=b, regularizer=reg, lower=lower)
     else:
         raise ValueError(f"field 'encoding': unknown encoding {encoding!r}")
     x_true = payload.get("x_true")
     if x_true is not None:
-        x_true = _dec_list(x_true, d, "x_true")
+        x_true = _decode(x_true, (d,), "x_true")
     return inst, x_true
 
 

@@ -1,5 +1,7 @@
 """Kernel generating distances and the Bregman proximity measure D_h."""
 
+import numbers
+
 import numpy as np
 
 ENERGY = "energy"
@@ -30,11 +32,10 @@ class Kernel:
     def __init__(self, kind, dimension):
         if kind not in _KINDS:
             raise ValueError(f"unknown kernel kind {kind!r}; expected one of {_KINDS}")
-        dimension = int(dimension)
-        if dimension < 1:
-            raise ValueError(f"dimension must be a positive integer, got {dimension}")
+        if not (isinstance(dimension, numbers.Integral) and dimension >= 1):
+            raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "dimension", int(dimension))
 
     def __setattr__(self, name, value):
         raise AttributeError("Kernel is immutable")

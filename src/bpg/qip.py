@@ -32,6 +32,11 @@ from .kernels import QUARTIC_PLUS_QUADRATIC
 from .smad import QIP_GRAM, SmadCertificate, check_symmetric
 from .solver import Problem
 
+# Matrices unpacked per block of the certificate's Gram product: the whole
+# (m, d, d) stack is 8.4 MB at d=64, m=256, twice the packed rows, and would
+# set the peak memory of an instance's set-up.
+_GRAM_BLOCK = 16
+
 
 @dataclass(frozen=True)
 class L1:
@@ -131,16 +136,20 @@ class QipInstance:
         """L* = max(3 lambda_max(sum_i A_i^2), ||sum_i b_i A_i||) from one ``eigvalsh``.
 
         The pair comes from one Gram product: R^T R over the (m*d, d) rows R
-        of the unpacked dense stack, or F^T diag(w) F for rank-one factors F,
-        with w = ||a_i||^2 and w = b.  sum_i b_i A_i is b @ lower, unpacked.
+        of the dense stack, summed over blocks of ``_GRAM_BLOCK`` unpacked
+        matrices, or F^T diag(w) F for rank-one factors F, with
+        w = ||a_i||^2 and w = b.  sum_i b_i A_i is b @ lower, unpacked.
         """
         if self.factors is not None:
             F = self.factors
             weights = np.array([np.einsum("ij,ij->i", F, F), self.b])
             pair = F.T @ (weights[:, :, None] * F)
         else:
-            rows = self.dense_matrices().reshape(-1, self.d)
-            pair = np.array([rows.T @ rows, (self.b @ self.lower)[self._unpack]])
+            squares = np.zeros((self.d, self.d))
+            for i in range(0, self.m, _GRAM_BLOCK):
+                rows = self.lower[i:i + _GRAM_BLOCK].take(self._unpack, axis=1).reshape(-1, self.d)
+                squares += rows.T @ rows
+            pair = np.array([squares, (self.b @ self.lower)[self._unpack]])
         gram, data = np.linalg.eigvalsh(pair).tolist()
         L = max(3.0 * gram[-1], -data[0], data[-1])
         if not L > 0:

@@ -79,6 +79,8 @@ class BpgConfig:
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
+        if self.x0.ndim != 1:
+            raise ValueError(f"starting point x0 must be a vector, got shape {self.x0.shape}")
         if not np.all(np.isfinite(self.x0)):
             raise ValueError("starting point must be finite")
         if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 0):
@@ -309,55 +311,3 @@ def min_gap_bound(trace, lam, L, psi_lower_bound, n=None):
     bound = lam * (trace.psi[0] - psi_lower_bound) / (n * (1.0 - lam * L))
     return observed, float(bound)
 
-
-@dataclass
-class RateReport:
-    """Descriptive regime fit of the step-norm decay; not a guarantee."""
-
-    regime: str  # "geometric" or "sublinear"
-    tau: float  # per-iteration contraction factor of the geometric fit
-    exponent: float  # slope of the log-log (sublinear) fit
-    r2_geometric: float
-    r2_sublinear: float
-    n_points: int
-
-
-def _r2(x, y):
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / max(ss_tot, 1e-300)
-    return slope, r2
-
-
-def rate_fit(trace, transient_fraction=0.25, min_points=20):
-    """Least-squares regime fit of log step norms against k and against log k.
-
-    Reports whichever of the geometric (log-linear in k) or sublinear
-    (log-log) models fits better past an estimated transient.  Purely
-    descriptive.  Raises ValueError when fewer than ``min_points`` positive
-    step norms remain.
-    """
-    steps = trace.step_norm[1:]
-    k = np.arange(1, steps.size + 1, dtype=float)
-    start = int(steps.size * transient_fraction)
-    steps, k = steps[start:], k[start:]
-    mask = np.isfinite(steps) & (steps > 0)
-    steps, k = steps[mask], k[mask]
-    if steps.size < min_points:
-        raise ValueError(
-            f"insufficient data for a rate fit: {steps.size} usable points, need {min_points}"
-        )
-    logy = np.log(steps)
-    slope_geo, r2_geo = _r2(k, logy)
-    slope_sub, r2_sub = _r2(np.log(k), logy)
-    regime = "geometric" if r2_geo >= r2_sub else "sublinear"
-    return RateReport(
-        regime=regime,
-        tau=float(np.exp(slope_geo)),
-        exponent=float(slope_sub),
-        r2_geometric=float(r2_geo),
-        r2_sublinear=float(r2_sub),
-        n_points=int(steps.size),
-    )

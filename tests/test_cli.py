@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -12,6 +13,15 @@ from bpg.instances import (
     payload_to_instance,
     save_instance,
 )
+
+
+def b64(values):
+    """Base64 of little-endian float64 bytes, written without the package's codec."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def unb64(text):
+    return np.frombuffer(base64.b64decode(text), dtype="<f8")
 
 
 def exit_code(argv):
@@ -85,8 +95,11 @@ class TestRoundTrip:
         path = tmp_path / "inst.json"
         save_instance(payload, path)
         loaded, _ = load_instance(path)
-        rows = [[float.fromhex(v) for v in tri] for tri in payload["matrices"]]
-        assert loaded.lower.tobytes() == np.array(rows).tobytes() == inst.lower.tobytes()
+        rows = unb64(payload["matrices"]).reshape(5, 28)
+        assert loaded.lower.tobytes() == rows.tobytes() == inst.lower.tobytes()
+        # native float64 copies, not read-only views of the decoded bytes
+        for a in (loaded.lower, loaded.b):
+            assert a.dtype == np.float64 and a.flags.writeable
         full = loaded.dense_matrices()
         assert full.shape == (5, 7, 7)
         np.testing.assert_array_equal(full, np.swapaxes(full, 1, 2))
@@ -101,20 +114,20 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded.b, inst.b)
 
     def test_dense_golden_lower_triangle(self):
-        # row-major lower triangle: a00, a10, a11, a20, a21, a22
-        tri = ["0x1.0000000000000p+0", "-0x1.0000000000000p-1", "0x1.0000000000000p+1",
-               "0x1.999999999999ap-4", "0x1.8000000000000p+1", "-0x1.8000000000000p+0"]
+        # the row-major lower triangle a00, a10, a11, a20, a21, a22 =
+        # 1, -0.5, 2, 0.1, 3, -1.5 as little-endian float64 bytes
+        tri = "AAAAAAAA8D8AAAAAAADgvwAAAAAAAABAmpmZmZmZuT8AAAAAAAAIQAAAAAAAAPi/"
         payload = {
-            "schema": 1, "d": 3, "m": 1, "encoding": "dense-symmetric",
-            "b": ["0x1.0000000000000p+0"], "regularizer": {"kind": "l0", "s": 1},
-            "x_true": None, "matrices": [tri],
+            "schema": 2, "d": 3, "m": 1, "encoding": "dense-symmetric",
+            "b": "AAAAAAAA8D8=", "regularizer": {"kind": "l0", "s": 1},
+            "x_true": None, "matrices": tri,
         }
         inst, _ = payload_to_instance(payload)
         expected = np.array([[1.0, -0.5, 0.1],
                              [-0.5, 2.0, 3.0],
                              [0.1, 3.0, -1.5]])
         np.testing.assert_array_equal(inst.dense_matrices()[0], expected)
-        assert instance_to_payload(inst)["matrices"] == [tri]
+        assert instance_to_payload(inst)["matrices"] == tri
 
     def test_l1_regularizer_round_trip(self):
         _, inst, _ = generate_instance(d=4, m=6, s_true=1, noise=0.0, seed=11,
@@ -126,13 +139,25 @@ class TestRoundTrip:
 
 
 class TestValidation:
-    def test_bad_schema_version(self, tmp_path):
-        payload, _, _ = generate_instance(d=4, m=4, s_true=1, noise=0.0, seed=0)
-        payload["schema"] = 99
-        path = tmp_path / "bad.json"
-        save_instance(payload, path)
-        with pytest.raises(ValueError, match="schema"):
-            load_instance(path)
+    def test_bad_schema_version(self, tmp_path, capsys):
+        payload, inst, x_true = generate_instance(d=4, m=4, s_true=1, noise=0.0, seed=0)
+        # a schema-1 file: one hexadecimal float string per value
+        schema_1 = {**payload, "schema": 1,
+                    "b": [v.hex() for v in inst.b.tolist()],
+                    "factors": [[v.hex() for v in row] for row in inst.factors.tolist()],
+                    "x_true": [v.hex() for v in x_true.tolist()]}
+        path, out = tmp_path / "bad.json", tmp_path / "run"
+        for bad in ({**payload, "schema": 99}, schema_1):
+            save_instance(bad, path)
+            with pytest.raises(ValueError, match="schema"):
+                load_instance(path)
+            for argv in (["check", "--instance", str(path)],
+                         ["solve", "--instance", str(path), "--out", str(out)]):
+                assert main(argv) == 2
+                err = capsys.readouterr().err.splitlines()
+                assert len(err) == 1 and err[0].startswith(f"error: {path}: field 'schema'")
+                assert "bpg generate" in err[0]
+            assert sorted(tmp_path.iterdir()) == [path]
 
     def test_sparsity_too_large_rejected(self, tmp_path):
         payload, _, _ = generate_instance(d=4, m=4, s_true=1, noise=0.0, seed=0)
@@ -144,7 +169,7 @@ class TestValidation:
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         payload, _, _ = generate_instance(d=4, m=4, s_true=1, noise=0.0, seed=0)
-        payload["b"] = payload["b"][:-1]
+        payload["b"] = b64(unb64(payload["b"])[:-1])
         path = tmp_path / "bad.json"
         save_instance(payload, path)
         with pytest.raises(ValueError, match="'b'"):
@@ -176,10 +201,9 @@ class TestValidation:
     ])
     def test_non_finite_data_rejected(self, tmp_path, capsys, kind, field):
         payload, _, _ = generate_instance(d=4, m=4, s_true=1, noise=0.0, seed=0, kind=kind)
-        if field == "b":
-            payload["b"][1] = "nan"
-        else:
-            payload[field][-1][0] = "nan"
+        values = unb64(payload[field]).copy()
+        values[-1] = np.nan
+        payload[field] = b64(values)
         path = tmp_path / "bad.json"
         save_instance(payload, path)
         assert main(["check", "--instance", str(path)]) == 2
@@ -191,16 +215,20 @@ class TestValidation:
         ("rank-one", "factors", 4), ("dense-symmetric", "matrices", 10),
     ])
     @pytest.mark.parametrize("edit", [
-        lambda row, n: row[:-1],
-        lambda row, n: row + row[:1],
-        lambda row, n: ",".join(row),
-        lambda row, n: None,
-        lambda row, n: row[:n - 2] + ["0x1.zzp+0"] + row[n - 1:],
-    ], ids=["short-row", "long-row", "row-a-string", "row-null", "non-hex-in-last-row"])
+        lambda text, n: b64(unb64(text)[:-1]),
+        lambda text, n: b64(np.append(unb64(text), 1.0)),
+        lambda text, n: [b64(row) for row in unb64(text).reshape(-1, n)],
+        lambda text, n: None,
+        lambda text, n: text[:-6] + "." + text[-5:],
+        lambda text, n: text + "\n",
+        lambda text, n: text.rstrip("="),
+    ], ids=["short-row", "long-row", "row-a-string", "row-null", "non-hex-in-last-row",
+            "stray-newline", "no-padding"])
     def test_bad_rows_name_the_field(self, kind, field, n, edit):
+        # all m rows are one base64 string of m * n float64 values
         payload, _, _ = generate_instance(d=4, m=5, s_true=1, noise=0.0, seed=0, kind=kind)
-        assert len(payload[field][-1]) == n
-        payload[field][-1] = edit(payload[field][-1], n)
+        assert unb64(payload[field]).size == 5 * n
+        payload[field] = edit(payload[field], n)
         with pytest.raises(ValueError, match=f"'{field}'"):
             payload_to_instance(payload)
 

@@ -128,3 +128,9 @@ def test_kernel_is_immutable():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         Kernel("entropy", 2)
+
+
+@pytest.mark.parametrize("dimension", [2.5, "3", 0])
+def test_bad_dimension_rejected(dimension):
+    with pytest.raises(ValueError, match="dimension"):
+        Kernel.quartic(dimension)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,8 +146,9 @@ class TestQipSmadConstant:
 
     def test_matches_gram_free_oracle(self):
         rng = np.random.default_rng(19)
-        for _ in range(10):
-            d, m = int(rng.integers(2, 9)), int(rng.integers(1, 13))
+        # m = 17 and 33 end in a partial block of the dense Gram product
+        for m in [int(rng.integers(1, 13)) for _ in range(10)] + [17, 33]:
+            d = int(rng.integers(2, 9))
             scale = 10.0 ** rng.uniform(-4, 1)
             dense = random_dense_instance(rng, d, m, scale=scale)
             rank_one = QipInstance(b=dense.b, regularizer=L1(0.1),
@@ -153,6 +156,18 @@ class TestQipSmadConstant:
             for inst in (dense, rank_one):
                 expected = eig_qip_gram_constant(inst.dense_matrices(), inst.b)
                 assert inst.smad_certificate().L == pytest.approx(expected, rel=1e-10)
+
+    def test_gram_peak_below_one_unpacked_stack(self):
+        rng = np.random.default_rng(24)
+        d, m = 32, 64
+        inst = random_dense_instance(rng, d, m)
+        tracemalloc.start()
+        try:
+            inst.smad_certificate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * d * d * 8
 
     def test_not_above_paper_constant(self):
         rng = np.random.default_rng(23)

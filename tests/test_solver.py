@@ -17,7 +17,6 @@ from bpg import (
     make_problem,
     min_gap_bound,
     p_lambda,
-    rate_fit,
     run_bpg,
 )
 import bpg.qip
@@ -125,6 +124,8 @@ class TestRunBpg:
         ("max_iters", "10"),
         ("tol_step", np.nan),
         ("tol_residual", -1.0),
+        ("x0", np.ones((2, 4))),
+        ("x0", np.ones((1, 4))),
     ])
     def test_config_validation(self, field, value):
         fields = {"x0": np.ones(2), field: value}
@@ -273,42 +274,6 @@ class TestMinGapBound:
         trace.append(0, 1.0, 0.0, 0.0, np.nan, 0.0)
         with pytest.raises(ValueError):
             min_gap_bound(trace, 0.5, 1.0, 0.0)
-
-
-class TestRateFit:
-    @staticmethod
-    def synthetic_trace(steps):
-        trace = IterateTrace()
-        trace.append(0, 1.0, 0.0, 0.0, np.nan, 0.0)
-        for k, s in enumerate(steps, start=1):
-            trace.append(k, 1.0, 0.0, s, 0.0, 0.0)
-        return trace
-
-    def test_geometric_sequence(self):
-        steps = 0.5 ** np.arange(1, 61)
-        report = rate_fit(self.synthetic_trace(steps))
-        assert report.regime == "geometric"
-        assert report.tau == pytest.approx(0.5, abs=1e-6)
-
-    def test_sublinear_sequence(self):
-        k = np.arange(1, 200, dtype=float)
-        report = rate_fit(self.synthetic_trace(k**-2.0))
-        assert report.regime == "sublinear"
-        assert report.exponent == pytest.approx(-2.0, abs=1e-6)
-
-    def test_real_trace_reports_some_regime(self):
-        rng = np.random.default_rng(54)
-        inst = random_dense_instance(rng, d=6, m=10, regularizer=L1(theta=0.1))
-        prob = make_problem(inst, Kernel.quartic(6))
-        res = run_bpg(prob, BpgConfig(x0=rng.standard_normal(6),
-                                      lam=0.99 / prob.smad.L, max_iters=2000))
-        report = rate_fit(res.trace)
-        assert report.regime in ("geometric", "sublinear")
-        assert report.r2_geometric >= 0 or report.r2_sublinear >= 0
-
-    def test_insufficient_data(self):
-        with pytest.raises(ValueError):
-            rate_fit(self.synthetic_trace(0.5 ** np.arange(1, 10)))
 
 
 class TestTrace:
