@@ -5,7 +5,11 @@ measurement matrices A_i.  Dense instances keep each A_i once, as its packed
 lower triangle, and evaluate g from one BLAS matrix-vector product of the
 (m, d(d+1)/2) packed stack with the pair products x_j x_k; the gradient
 unpacks sum_i r_i A_i from one product of the residuals with the same stack.
-Rank-one instances A_i = a_i a_i^T use the m inner products a_i^T x.
+Rank-one instances A_i = a_i a_i^T use the m inner products a_i^T x.  The
+instance memoizes the residuals and gradient of its last point, keyed on the
+point's shape and bytes, so g(x+), grad g(x+) and the next step's grad g(x)
+take one residual pass.  The memo is one tuple set by one assignment, so a
+thread race can only miss; the data arrays are read-only views.
 
 Paired with the quartic-plus-quadratic kernel, the Bregman proximal step has
 an explicit solution for both an l1 penalty and an l0-ball (sparsity)
@@ -80,7 +84,7 @@ class QipInstance:
     def __init__(self, b, regularizer, matrices=None, factors=None, lower=None):
         if sum(a is not None for a in (matrices, factors, lower)) != 1:
             raise ValueError("provide exactly one of matrices=, lower= or factors=")
-        self.b = np.asarray(b, dtype=float)
+        self.b = np.asarray(b, dtype=float).view()
         if self.b.ndim != 1 or self.b.size < 1:
             raise ValueError(f"b must be a nonempty vector, got shape {self.b.shape}")
         _check_finite(self.b, "b")
@@ -90,7 +94,7 @@ class QipInstance:
             if factors.ndim != 2:
                 raise ValueError(f"factors must have shape (m, d), got {factors.shape}")
             _check_finite(factors, "factors")
-            self.factors = factors
+            self.factors = factors.view()
             m, d = factors.shape
         else:
             if matrices is not None:
@@ -109,7 +113,7 @@ class QipInstance:
                 raise ValueError(f"lower must have shape (m, d(d+1)/2), got {lower.shape}")
             m = lower.shape[0]
             _check_finite(lower, "matrices")
-            self.lower = lower
+            self.lower = lower.view()
             rows, cols = np.tril_indices(d)
             # packed index of entry (j, k) of a symmetric matrix
             self._unpack = np.empty((d, d), dtype=np.intp)
@@ -125,6 +129,10 @@ class QipInstance:
         self.regularizer = regularizer
         self.d = d
         self.m = m
+        for view in (self.b, self.lower, self.factors):
+            if view is not None:  # an edit in place would outdate the memo
+                view.flags.writeable = False
+        self._last = (None, None, None, None)
 
     def dense_matrices(self):
         """The measurement matrices as a new dense (m, d, d) array."""
@@ -180,10 +188,19 @@ def _residuals(inst, x):
     return w @ inst.lower.T - inst.b, None
 
 
+def _entry(inst, x):
+    """The memo entry (key, r, ax, grad) for x; grad is None until computed."""
+    key = (x.shape, x.tobytes())
+    entry = inst._last
+    if entry[0] != key:
+        entry = inst._last = (key, *_residuals(inst, x), None)
+    return entry
+
+
 def qip_value(inst, x):
     """The smooth data-fit value g(x) = 1/4 sum_i (x^T A_i x - b_i)^2."""
     x = _check_point(inst, x)
-    r, _ = _residuals(inst, x)
+    r = _entry(inst, x)[1]
     return 0.25 * np.sum(r * r, axis=-1)
 
 
@@ -191,14 +208,17 @@ def qip_gradient(inst, x):
     """Analytic gradient sum_i (x^T A_i x - b_i) A_i x (each A_i symmetric).
 
     Dense instances unpack S = sum_i r_i A_i from the one packed row r @ lower
-    and return S x.
+    and return S x.  The result is a new array; the memo keeps its own copy.
     """
     x = _check_point(inst, x)
-    r, ax = _residuals(inst, x)
-    if inst.factors is not None:
-        return (r * ax) @ inst.factors
-    S = (r @ inst.lower)[..., inst._unpack]
-    return (S @ x[..., None])[..., 0]
+    key, r, ax, grad = _entry(inst, x)
+    if grad is None:
+        if inst.factors is not None:
+            grad = (r * ax) @ inst.factors
+        else:
+            grad = ((r @ inst.lower)[..., inst._unpack] @ x[..., None])[..., 0]
+        inst._last = (key, r, ax, grad)
+    return grad.copy()
 
 
 def p_lambda(inst, kernel, lam, x):

@@ -97,9 +97,11 @@ class TestRoundTrip:
         loaded, _ = load_instance(path)
         rows = unb64(payload["matrices"]).reshape(5, 28)
         assert loaded.lower.tobytes() == rows.tobytes() == inst.lower.tobytes()
-        # native float64 copies, not read-only views of the decoded bytes
+        # the instance's read-only views of native float64 copies, not of the
+        # decoded bytes
         for a in (loaded.lower, loaded.b):
-            assert a.dtype == np.float64 and a.flags.writeable
+            assert a.dtype == np.float64 and not a.flags.writeable
+            assert isinstance(a.base, np.ndarray) and a.base.flags.writeable
         full = loaded.dense_matrices()
         assert full.shape == (5, 7, 7)
         np.testing.assert_array_equal(full, np.swapaxes(full, 1, 2))
@@ -181,11 +183,13 @@ class TestValidation:
         (lambda p: {**p, "regularizer": {"kind": "l1", "theta": 0.1}}, "regularizer.theta"),
         (lambda p: {**p, "regularizer": {"kind": "l0"}}, "regularizer.s"),
         (lambda p: {**p, "d": None}, "'d'"),
-        (lambda p: {**p, "factors": 3}, "'factors'"),
-        (lambda p: {**p, "b": "1234"}, "'b'"),
-        (lambda p: {**p, "x_true": "abcd"}, "'x_true'"),
+        (lambda p: {**p, "factors": 3}, "'factors': expected a base64 string, got int"),
+        # "1234" and "abcd" are valid base64 for 3 bytes, not 4 float64 values
+        (lambda p: {**p, "b": "1234"}, r"'b': expected 32 bytes \(4 float64 values\), got 3$"),
+        (lambda p: {**p, "x_true": "abcd"},
+         r"'x_true': expected 32 bytes \(4 float64 values\), got 3$"),
     ], ids=["not-an-object", "theta-missing", "theta-not-a-string", "s-missing", "d-null",
-            "factors-not-a-list", "b-a-string", "x-true-a-string"])
+            "factors-not-a-string", "b-three-bytes", "x-true-three-bytes"])
     def test_payload_shape_rejected(self, tmp_path, capsys, edit, field):
         payload, _, _ = generate_instance(d=4, m=4, s_true=1, noise=0.0, seed=0)
         path = tmp_path / "bad.json"

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,9 @@ from oracles import (
     l1_prox_objective,
 )
 
+import bpg.qip
 from bpg import (
+    BpgConfig,
     Kernel,
     L0Ball,
     L1,
@@ -28,6 +34,7 @@ from bpg import (
     prox_l1,
     qip_gradient,
     qip_value,
+    run_bpg,
     soft_threshold,
 )
 
@@ -219,6 +226,135 @@ class TestPackedOracle:
         np.testing.assert_array_equal(full, np.swapaxes(full, 1, 2))
         rows, cols = np.tril_indices(7)
         np.testing.assert_array_equal(full[:, rows, cols], inst.lower)
+
+
+def memo_instance(kind, seed, regularizer=None):
+    """A small dense or rank-one instance; the same seed gives the same data."""
+    rng = np.random.default_rng(seed)
+    regularizer = regularizer or L1(0.1)
+    if kind == "dense":
+        return random_dense_instance(rng, d=5, m=7, regularizer=regularizer)
+    return QipInstance(b=rng.standard_normal(7), regularizer=regularizer,
+                       factors=rng.standard_normal((7, 5)))
+
+
+def fresh_oracle(inst, x):
+    """Value and gradient at x from a new instance on the same data."""
+    data = {"factors": inst.factors} if inst.factors is not None else {"lower": inst.lower}
+    fresh = QipInstance(b=inst.b, regularizer=inst.regularizer, **data)
+    return qip_value(fresh, x), qip_gradient(fresh, x)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["dense", "rank-one"])
+class TestOracleMemo:
+    """The instance's memo of its last point returns what recomputing would."""
+
+    def test_point_sequence_matches_fresh_instance(self, kind):
+        inst = memo_instance(kind, 60)
+        rng = np.random.default_rng(61)
+        x, y = rng.standard_normal(5), rng.standard_normal(5)
+        X = np.stack([x, y, -x])
+        # x and x[None] have the same bytes; only the shape tells them apart
+        for point, gradient_first in [(x, False), (y, True), (x, False), (X, False),
+                                      (x, True), (x[None], False), (x, False)]:
+            if gradient_first:
+                g = qip_gradient(inst, point)
+                v = qip_value(inst, point)
+            else:
+                v = qip_value(inst, point)
+                g = qip_gradient(inst, point)
+            fresh_v, fresh_g = fresh_oracle(inst, point)
+            assert same_bits(v, fresh_v) and same_bits(g, fresh_g)
+
+    def test_point_edited_in_place(self, kind):
+        inst = memo_instance(kind, 62)
+        x = np.random.default_rng(63).standard_normal(5)
+        qip_value(inst, x)
+        x[0] += 1.0
+        assert same_bits(qip_gradient(inst, x), fresh_oracle(inst, x)[1])
+        x[1] -= 1.0
+        assert same_bits(qip_value(inst, x), fresh_oracle(inst, x)[0])
+
+    def test_returned_gradient_is_a_copy(self, kind):
+        inst = memo_instance(kind, 64)
+        x = np.random.default_rng(65).standard_normal(5)
+        g = qip_gradient(inst, x)
+        expected = g.copy()
+        g[:] = 0.0
+        assert same_bits(qip_gradient(inst, x), expected)
+
+    def test_data_is_read_only(self, kind):
+        rng = np.random.default_rng(66)
+        b = rng.standard_normal(7)
+        if kind == "dense":
+            data = random_dense_instance(rng, d=5, m=7).lower.copy()
+            inst = QipInstance(b=b, regularizer=L1(0.1), lower=data)
+            stored = inst.lower
+        else:
+            data = rng.standard_normal((7, 5))
+            inst = QipInstance(b=b, regularizer=L1(0.1), factors=data)
+            stored = inst.factors
+        with pytest.raises(ValueError, match="read-only"):
+            inst.b[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0, 0] = 1.0
+        # views, not copies; the caller's arrays stay writable
+        assert np.shares_memory(inst.b, b) and np.shares_memory(stored, data)
+        assert b.flags.writeable and data.flags.writeable
+
+    def test_one_residual_pass_per_iteration(self, kind, monkeypatch):
+        reg = L1(0.1) if kind == "dense" else L0Ball(2)
+        inst = memo_instance(kind, 67, reg)
+        prob = make_problem(inst, Kernel.quartic(5))
+        misses = []
+        residuals = bpg.qip._residuals
+
+        def counted(inst, x):
+            misses.append(x.shape)
+            return residuals(inst, x)
+
+        monkeypatch.setattr(bpg.qip, "_residuals", counted)
+        x0 = np.random.default_rng(68).standard_normal(5)
+        res = run_bpg(prob, BpgConfig(x0=x0, max_iters=20, tol_step=0.0))
+        assert res.iterations == 20
+        assert len(misses) == res.iterations + 1
+
+    def test_threads_sharing_a_problem(self, kind):
+        # what the bpg solve thread pool does: one instance, several starts,
+        # here on more threads than cores, switching as often as possible
+        reg = L1(0.1) if kind == "dense" else L0Ball(2)
+        prob = make_problem(memo_instance(kind, 69, reg), Kernel.quartic(5))
+        rng = np.random.default_rng(70)
+        configs = [BpgConfig(x0=rng.standard_normal(5), max_iters=300, tol_step=0.0)
+                   for _ in range(min((os.cpu_count() or 1) + 1, 16))]
+        alone = [run_bpg(prob, c) for c in configs]
+        results = [None] * len(configs)
+        barrier = threading.Barrier(len(configs))
+
+        def run(i):
+            barrier.wait(timeout=60)
+            results[i] = run_bpg(prob, configs[i])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for shared, single in zip(results, alone):
+            assert same_bits(shared.x, single.x)
+            for name in ("psi", "dh_gap", "step_norm", "witness_norm"):
+                assert same_bits(shared.trace.column(name), single.trace.column(name))
 
 
 class TestPLambda:
