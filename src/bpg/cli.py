@@ -12,8 +12,8 @@ boundary: a ``ValueError`` or ``OSError`` from any verb prints ``error: ...``
 and exits 2, and every verb checks its input before it writes anything.
 
 Starts run on a thread pool of ``min(starts, cpu_count)`` workers.  Trace
-CSVs are written with the wall-clock column zeroed so identical seeds produce
-byte-identical artifacts.
+CSVs hold no wall-clock column, so identical seeds produce byte-identical
+artifacts.
 """
 
 import argparse
@@ -129,7 +129,7 @@ def run_from_spec(args):
             failed = True
             summary = {"start": idx, "error": type(err).__name__, "message": str(err)}
         else:
-            result.trace.to_csv(out / f"trace_{idx:03d}.csv", deterministic=True)
+            result.trace.to_csv(out / f"trace_{idx:03d}.csv")
             summary = {"start": idx, **result.summary(),
                        "x": [float(v).hex() for v in result.x]}
             if best is None or result.final_psi < best[1]:

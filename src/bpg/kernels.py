@@ -1,6 +1,7 @@
 """Kernel generating distances and the Bregman proximity measure D_h."""
 
 import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,6 +11,7 @@ QUARTIC_PLUS_QUADRATIC = "quartic-plus-quadratic"
 _KINDS = (ENERGY, QUARTIC_PLUS_QUADRATIC)
 
 
+@dataclass(frozen=True)
 class Kernel:
     """A convex reference function h on R^d defining the Bregman distance.
 
@@ -27,21 +29,15 @@ class Kernel:
     batch of shape ``(n, d)`` (norms are taken along the last axis).
     """
 
-    __slots__ = ("kind", "dimension")
+    kind: str
+    dimension: int
 
-    def __init__(self, kind, dimension):
-        if kind not in _KINDS:
-            raise ValueError(f"unknown kernel kind {kind!r}; expected one of {_KINDS}")
-        if not (isinstance(dimension, numbers.Integral) and dimension >= 1):
-            raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "dimension", int(dimension))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Kernel is immutable")
-
-    def __repr__(self):
-        return f"Kernel({self.kind!r}, dimension={self.dimension})"
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {_KINDS}")
+        if not (isinstance(self.dimension, numbers.Integral) and self.dimension >= 1):
+            raise ValueError(f"dimension must be a positive integer, got {self.dimension!r}")
+        object.__setattr__(self, "dimension", int(self.dimension))
 
     @classmethod
     def energy(cls, dimension):

@@ -9,7 +9,7 @@ Rank-one instances A_i = a_i a_i^T use the m inner products a_i^T x.  The
 instance memoizes the residuals and gradient of its last point, keyed on the
 point's shape and bytes, so g(x+), grad g(x+) and the next step's grad g(x)
 take one residual pass.  The memo is one tuple set by one assignment, so a
-thread race can only miss; the data arrays are read-only views.
+thread race can only miss; the data arrays are read-only copies.
 
 Paired with the quartic-plus-quadratic kernel, the Bregman proximal step has
 an explicit solution for both an l1 penalty and an l0-ball (sparsity)
@@ -52,6 +52,12 @@ class L1:
         if not (self.theta > 0 and np.isfinite(self.theta)):
             raise ValueError(f"l1 weight must be positive and finite, got {self.theta}")
 
+    def value(self, x):
+        return self.theta * float(np.sum(np.abs(x)))
+
+    def prox(self, p, lam):
+        return prox_l1(p, lam * self.theta)
+
 
 @dataclass(frozen=True)
 class L0Ball:
@@ -62,6 +68,12 @@ class L0Ball:
     def __post_init__(self):
         if not (isinstance(self.s, numbers.Integral) and self.s >= 1):
             raise ValueError(f"sparsity level must be a positive integer, got {self.s}")
+
+    def value(self, x):
+        return 0.0 if np.count_nonzero(x) <= self.s else np.inf
+
+    def prox(self, p, lam):
+        return prox_l0(p, self.s)
 
 
 def _check_finite(a, name):
@@ -84,17 +96,17 @@ class QipInstance:
     def __init__(self, b, regularizer, matrices=None, factors=None, lower=None):
         if sum(a is not None for a in (matrices, factors, lower)) != 1:
             raise ValueError("provide exactly one of matrices=, lower= or factors=")
-        self.b = np.asarray(b, dtype=float).view()
+        self.b = np.array(b, dtype=float)
         if self.b.ndim != 1 or self.b.size < 1:
             raise ValueError(f"b must be a nonempty vector, got shape {self.b.shape}")
         _check_finite(self.b, "b")
         self.lower = self.factors = None
         if factors is not None:
-            factors = np.asarray(factors, dtype=float)
+            factors = np.array(factors, dtype=float)
             if factors.ndim != 2:
                 raise ValueError(f"factors must have shape (m, d), got {factors.shape}")
             _check_finite(factors, "factors")
-            self.factors = factors.view()
+            self.factors = factors
             m, d = factors.shape
         else:
             if matrices is not None:
@@ -106,14 +118,14 @@ class QipInstance:
                 check_symmetric(matrices)
                 rows, cols = np.tril_indices(matrices.shape[1])
                 lower = matrices[:, rows, cols]
-            lower = np.ascontiguousarray(lower, dtype=float)
+            lower = np.array(lower, dtype=float, order="C")
             n = lower.shape[1] if lower.ndim == 2 else 0
             d = (math.isqrt(8 * n + 1) - 1) // 2
             if n < 1 or d * (d + 1) // 2 != n:
                 raise ValueError(f"lower must have shape (m, d(d+1)/2), got {lower.shape}")
             m = lower.shape[0]
             _check_finite(lower, "matrices")
-            self.lower = lower.view()
+            self.lower = lower
             rows, cols = np.tril_indices(d)
             # packed index of entry (j, k) of a symmetric matrix
             self._unpack = np.empty((d, d), dtype=np.intp)
@@ -129,9 +141,9 @@ class QipInstance:
         self.regularizer = regularizer
         self.d = d
         self.m = m
-        for view in (self.b, self.lower, self.factors):
-            if view is not None:  # an edit in place would outdate the memo
-                view.flags.writeable = False
+        for a in (self.b, self.lower, self.factors):
+            if a is not None:  # an edit in place would outdate the memo
+                a.flags.writeable = False
         self._last = (None, None, None, None)
 
     def dense_matrices(self):
@@ -327,8 +339,6 @@ def prox_l1(p, lam_theta):
     is (grad h)^{-1}(-S(p)) = -(eta / ||S(p)||) S(p), with S the soft
     threshold at lam*theta and eta^3 + eta = ||S(p)||.
     """
-    if not lam_theta >= 0:
-        raise ValueError(f"threshold must be nonnegative, got {lam_theta}")
     return _radial_step(soft_threshold(p, lam_theta))
 
 
@@ -345,23 +355,13 @@ def prox_l0(p, s):
     return _radial_step(hard_threshold(p, s))
 
 
-def _f_value(inst):
-    reg = inst.regularizer
-    if isinstance(reg, L1):
-        theta = reg.theta
-        return lambda x: theta * float(np.sum(np.abs(x)))
-    s = reg.s
-    return lambda x: 0.0 if np.count_nonzero(x) <= s else np.inf
-
-
-def make_problem(inst, kernel, L=None):
+def make_problem(inst, kernel):
     """Bind a QIP instance and the quartic kernel into a solver-ready Problem.
 
     The quartic-plus-quadratic kernel is the only pairing with a certificate
     for quadratic measurements, so any other kernel is rejected.  The
     adaptability constant is the instance's certified L* (source
-    ``qip-gram``, see :meth:`QipInstance.smad_certificate`) unless a user L
-    is supplied.
+    ``qip-gram``, see :meth:`QipInstance.smad_certificate`).
     """
     if kernel.dimension != inst.d:
         raise ValueError(f"kernel dimension {kernel.dimension} != instance dimension {inst.d}")
@@ -369,21 +369,12 @@ def make_problem(inst, kernel, L=None):
         raise ValueError(f"kernel {kernel.kind!r} carries no certificate for quadratic "
                          "measurements; use the quartic kernel")
     reg = inst.regularizer
-    cert = SmadCertificate(L=float(L), source="user-supplied") if L is not None \
-        else inst.smad_certificate()
-    if isinstance(reg, L1):
-        def prox_map(x, lam):
-            return prox_l1(p_lambda(inst, kernel, lam, x), lam * reg.theta)
-    else:
-        def prox_map(x, lam):
-            return prox_l0(p_lambda(inst, kernel, lam, x), reg.s)
-
     return Problem(
         g_value=lambda x: qip_value(inst, x),
         g_gradient=lambda x: qip_gradient(inst, x),
-        prox_map=prox_map,
-        f_value=_f_value(inst),
+        prox_map=lambda x, lam: reg.prox(p_lambda(inst, kernel, lam, x), lam),
+        f_value=reg.value,
         kernel=kernel,
-        smad=cert,
+        smad=inst.smad_certificate(),
         psi_lower_bound=0.0,
     )

@@ -21,6 +21,7 @@ QIP_GRAM = "qip-gram"
 USER_SUPPLIED = "user-supplied"
 
 _SYMMETRY_TOL = 1e-10
+_DESCENT_SLACK = 1e-9
 
 # check_descent_lemma evaluates pairs in blocks of this many, so that its
 # memory does not grow with the number of samples: a dense oracle call holds
@@ -41,7 +42,7 @@ class SmadCertificate:
             raise ValueError(f"adaptability constant must be positive and finite, got {self.L}")
 
 
-def check_symmetric(A, tol=_SYMMETRY_TOL):
+def check_symmetric(A):
     """Return A as a float array; raise unless it (each matrix of a stack) is symmetric.
 
     The tolerance is relative to the largest |A| of the whole array, so that
@@ -50,10 +51,10 @@ def check_symmetric(A, tol=_SYMMETRY_TOL):
     A = np.asarray(A, dtype=float)
     if A.size:
         gap = float(np.max(np.abs(A - np.swapaxes(A, -1, -2))))
-        bound = tol * float(np.max(np.abs(A)))
+        bound = _SYMMETRY_TOL * float(np.max(np.abs(A)))
         if gap > bound:
             raise ValueError(f"matrix is not symmetric: max |A - A^T| = {gap:.3e} > {bound:.1e}"
-                             f" ({tol:.0e} of max |A|)")
+                             f" ({_SYMMETRY_TOL:.0e} of max |A|)")
     return A
 
 
@@ -91,7 +92,7 @@ class DescentReport:
     passed: bool
 
 
-def check_descent_lemma(g_value, g_gradient, kernel, L, xs, ys, rel_slack=1e-9):
+def check_descent_lemma(g_value, g_gradient, kernel, L, xs, ys):
     """Verify the extended descent bound on sampled point pairs.
 
     ``g_value`` and ``g_gradient`` must accept batched input of shape (n, d);
@@ -113,7 +114,7 @@ def check_descent_lemma(g_value, g_gradient, kernel, L, xs, ys, rel_slack=1e-9):
         dh = np.atleast_1d(kernel.bregman(x, y))
         dg = np.atleast_1d(g_value(x) - g_value(y) - np.sum(g_gradient(y) * (x - y), axis=-1))
         margins.append(L * dh - np.abs(dg))
-        slacks.append(rel_slack * (1.0 + np.abs(dg) + L * dh))
+        slacks.append(_DESCENT_SLACK * (1.0 + np.abs(dg) + L * dh))
     margins = np.concatenate(margins)
     bad = ~(margins >= -np.concatenate(slacks))
     return DescentReport(

@@ -143,20 +143,17 @@ class IterateTrace:
     def elapsed_s(self):
         return self.column("elapsed_s")
 
-    def to_csv(self, path, deterministic=False):
-        """Write the trace as CSV.
+    def to_csv(self, path):
+        """Write every column but the wall clock as CSV.
 
-        ``deterministic=True`` zeroes the wall-clock column so identical runs
-        produce byte-identical files (the in-memory timings are unaffected).
+        Identical runs write byte-identical files; the timings stay in
+        ``elapsed_s``.
         """
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(self.COLUMNS)
-            for row in self._rows:
-                k, psi, dh, step, wit, elapsed = row
-                if deterministic:
-                    elapsed = 0.0
-                writer.writerow([k, repr(psi), repr(dh), repr(step), repr(wit), repr(elapsed)])
+            writer.writerow(self.COLUMNS[:-1])
+            for k, *values, _ in self._rows:
+                writer.writerow([k, *map(repr, values)])
 
 
 @dataclass

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from bpg import L1, qip_value
-from bpg.cli import main
+from bpg import BpgConfig, Kernel, L1, make_problem, qip_value, run_bpg
+from bpg.cli import draw_starts, main
 from bpg.instances import (
     generate_instance,
     instance_to_payload,
@@ -97,11 +97,11 @@ class TestRoundTrip:
         loaded, _ = load_instance(path)
         rows = unb64(payload["matrices"]).reshape(5, 28)
         assert loaded.lower.tobytes() == rows.tobytes() == inst.lower.tobytes()
-        # the instance's read-only views of native float64 copies, not of the
+        # the instance's own read-only float64 copies, not views of the
         # decoded bytes
         for a in (loaded.lower, loaded.b):
             assert a.dtype == np.float64 and not a.flags.writeable
-            assert isinstance(a.base, np.ndarray) and a.base.flags.writeable
+            assert a.flags.owndata
         full = loaded.dense_matrices()
         assert full.shape == (5, 7, 7)
         np.testing.assert_array_equal(full, np.swapaxes(full, 1, 2))
@@ -291,6 +291,20 @@ class TestSolve:
         rows = (out / "trace_000.csv").read_text().strip().splitlines()
         psi = np.array([float(r.split(",")[1]) for r in rows[1:]])
         assert np.all(np.diff(psi) <= 1e-8 * (1.0 + np.abs(psi[:-1])))
+
+    def test_trace_csv_is_the_deterministic_columns(self, instance_path, tmp_path):
+        out = tmp_path / "run"
+        assert main(["solve", "--instance", str(instance_path), "--max-iters", "50",
+                     "--seed", "2", "--out", str(out)]) == 0
+        inst, _ = load_instance(instance_path)
+        problem = make_problem(inst, Kernel.quartic(inst.d))
+        (x0,) = draw_starts(inst.d, 1, 2, inst.regularizer)
+        trace = run_bpg(problem, BpgConfig(x0=x0, max_iters=50)).trace
+        header, *rows = (out / "trace_000.csv").read_text().splitlines()
+        assert header == "k,psi,dh_gap,step_norm,witness_norm"
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        for column, name in zip(table.T, header.split(",")):
+            np.testing.assert_array_equal(column, trace.column(name))
 
     def test_reproducible_artifacts(self, instance_path, tmp_path):
         outs = []

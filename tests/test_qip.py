@@ -238,6 +238,17 @@ def memo_instance(kind, seed, regularizer=None):
                        factors=rng.standard_normal((7, 5)))
 
 
+def caller_data_instance(kind, seed):
+    """(instance, b, data): an instance built from writable arrays the caller keeps."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(7)
+    if kind == "dense":
+        data = random_dense_instance(rng, d=5, m=7).lower.copy()
+        return QipInstance(b=b, regularizer=L1(0.1), lower=data), b, data
+    data = rng.standard_normal((7, 5))
+    return QipInstance(b=b, regularizer=L1(0.1), factors=data), b, data
+
+
 def fresh_oracle(inst, x):
     """Value and gradient at x from a new instance on the same data."""
     data = {"factors": inst.factors} if inst.factors is not None else {"lower": inst.lower}
@@ -289,23 +300,29 @@ class TestOracleMemo:
         assert same_bits(qip_gradient(inst, x), expected)
 
     def test_data_is_read_only(self, kind):
-        rng = np.random.default_rng(66)
-        b = rng.standard_normal(7)
-        if kind == "dense":
-            data = random_dense_instance(rng, d=5, m=7).lower.copy()
-            inst = QipInstance(b=b, regularizer=L1(0.1), lower=data)
-            stored = inst.lower
-        else:
-            data = rng.standard_normal((7, 5))
-            inst = QipInstance(b=b, regularizer=L1(0.1), factors=data)
-            stored = inst.factors
+        inst, b, data = caller_data_instance(kind, 66)
+        stored = inst.lower if kind == "dense" else inst.factors
         with pytest.raises(ValueError, match="read-only"):
             inst.b[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             stored[0, 0] = 1.0
-        # views, not copies; the caller's arrays stay writable
-        assert np.shares_memory(inst.b, b) and np.shares_memory(stored, data)
+        # copies, not views; the caller's arrays stay writable
+        assert not np.shares_memory(inst.b, b) and not np.shares_memory(stored, data)
         assert b.flags.writeable and data.flags.writeable
+
+    def test_caller_edits_do_not_reach_the_instance(self, kind):
+        inst, b, data = caller_data_instance(kind, 69)
+        before = inst.b.copy()
+        x, y = np.random.default_rng(70).standard_normal((2, 5))
+        value, grad = qip_value(inst, x), qip_gradient(inst, x)
+        expected = fresh_oracle(inst, y)
+        b[0] += 5.0
+        data[0] += 1.0
+        assert same_bits(inst.b, before)
+        # x is the memo's point, y a new one
+        assert same_bits(qip_value(inst, x), value) and same_bits(qip_gradient(inst, x), grad)
+        assert same_bits(qip_value(inst, y), expected[0])
+        assert same_bits(qip_gradient(inst, y), expected[1])
 
     def test_one_residual_pass_per_iteration(self, kind, monkeypatch):
         reg = L1(0.1) if kind == "dense" else L0Ball(2)
@@ -627,8 +644,6 @@ class TestMakeProblem:
         inst = random_dense_instance(rng, d=3, m=4)
         with pytest.raises(ValueError, match="no certificate"):
             make_problem(inst, Kernel.energy(3))
-        with pytest.raises(ValueError, match="no certificate"):
-            make_problem(inst, Kernel.energy(3), L=5.0)  # a user L does not certify it
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(39)
@@ -643,3 +658,7 @@ class TestMakeProblem:
         assert prob.f_value(np.array([1.0, 0.0, 0.0])) == 0.0
         assert prob.f_value(np.array([1.0, 2.0, 0.0])) == np.inf
         assert prob.psi_lower_bound == 0.0
+        inst = random_dense_instance(rng, d=3, m=4, regularizer=L1(theta=0.5))
+        prob = make_problem(inst, Kernel.quartic(3))
+        assert prob.f_value(np.array([1.0, -2.0, 0.0])) == 1.5
+        assert prob.f_value(np.zeros(3)) == 0.0
