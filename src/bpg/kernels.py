@@ -58,7 +58,7 @@ class Kernel:
     def value(self, x):
         """h(x); scalar for a single point, 1-d array for a batch."""
         x = self._check(x)
-        sq = np.sum(x * x, axis=-1)
+        sq = np.add.reduce(x * x, axis=-1)
         if self.kind == ENERGY:
             return 0.5 * sq
         return 0.25 * sq * sq + 0.5 * sq
@@ -68,7 +68,7 @@ class Kernel:
         x = self._check(x)
         if self.kind == ENERGY:
             return x.copy()
-        sq = np.sum(x * x, axis=-1, keepdims=True)
+        sq = np.add.reduce(x * x, axis=-1, keepdims=True)
         return (sq + 1.0) * x
 
     def bregman(self, x, y):
@@ -81,4 +81,4 @@ class Kernel:
         """
         x = self._check(x)
         y = self._check(y)
-        return self.value(x) - self.value(y) - np.sum(self.gradient(y) * (x - y), axis=-1)
+        return self.value(x) - self.value(y) - np.add.reduce(self.gradient(y) * (x - y), axis=-1)

@@ -53,7 +53,7 @@ class L1:
             raise ValueError(f"l1 weight must be positive and finite, got {self.theta}")
 
     def value(self, x):
-        return self.theta * float(np.sum(np.abs(x)))
+        return self.theta * float(np.add.reduce(np.abs(x), axis=None))
 
     def prox(self, p, lam):
         return prox_l1(p, lam * self.theta)
@@ -213,7 +213,7 @@ def qip_value(inst, x):
     """The smooth data-fit value g(x) = 1/4 sum_i (x^T A_i x - b_i)^2."""
     x = _check_point(inst, x)
     r = _entry(inst, x)[1]
-    return 0.25 * np.sum(r * r, axis=-1)
+    return 0.25 * np.add.reduce(r * r, axis=-1)
 
 
 def qip_gradient(inst, x):
@@ -259,9 +259,8 @@ def hard_threshold(y, s):
         raise ValueError("hard_threshold expects a single vector")
     if not (isinstance(s, numbers.Integral) and 1 <= s <= y.size):
         raise ValueError(f"sparsity level must be an integer with 1 <= s <= {y.size}, got {s}")
-    order = np.argsort(-np.abs(y), kind="stable")
-    out = np.zeros_like(y)
-    keep = order[:s]
+    keep = (-np.abs(y)).argsort(kind="stable")[:s]
+    out = np.zeros(y.shape)
     out[keep] = y[keep]
     return out
 
@@ -323,7 +322,7 @@ def _radial_step(v):
     The cubic is solved even for v = 0 (eta = 0, u = -v), so every prox call
     makes exactly one cubic solve.
     """
-    nv = float(np.linalg.norm(v))
+    nv = math.sqrt(v.dot(v))
     eta = cubic_root_l0(nv)
     return -(eta / nv if nv > 0 else 1.0) * v
 

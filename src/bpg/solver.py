@@ -207,7 +207,7 @@ def _check_lower_bound(problem, psi, name):
 
 
 def _guard_iterate(x):
-    n = float(np.linalg.norm(x))  # NaN or inf if any entry is
+    n = math.sqrt(x.dot(x))  # NaN or inf if any entry is, inf if the square sum overflows
     if not n <= DIVERGENCE_NORM:
         raise DivergenceError(f"iterate norm {n:.3e} is not finite or exceeds {DIVERGENCE_NORM:.0e}")
 
@@ -227,8 +227,8 @@ def bpg_step(problem, lam, x, psi=None, grad=None):
 
     Pass ``psi`` = Psi(x) and ``grad`` = grad g(x) when they are at hand (the
     previous Step's fields); otherwise they are computed.  Raises ValueError
-    unless 0 < lam*L < 1, x is finite and Psi(x+) respects
-    ``problem.psi_lower_bound``.
+    unless 0 < lam*L < 1 and Psi(x+) respects ``problem.psi_lower_bound``;
+    x is checked to be finite only when ``psi`` is not passed.
     """
     L = problem.smad.L
     lam = resolve_step(lam, L)
@@ -270,13 +270,14 @@ def run_bpg(problem, config):
 
     for k in range(1, config.max_iters + 1):
         step = bpg_step(problem, lam, x, psi, grad)
-        wnorm = float(np.linalg.norm(step.witness))
-        step_norm = float(np.linalg.norm(step.x - x))
+        w, dx = step.witness, step.x - x
+        wnorm = math.sqrt(w.dot(w))
+        step_norm = math.sqrt(dx.dot(dx))
         trace.append(k, step.psi, step.dh, step_norm, wnorm, time.perf_counter() - t0)
         if iterates is not None:
             iterates.append(step.x.copy())
         x, psi, grad = step.x, step.psi, step.grad
-        if step_norm <= config.tol_step * (1.0 + float(np.linalg.norm(x))):
+        if step_norm <= config.tol_step * (1.0 + math.sqrt(x.dot(x))):
             reason = STEP_TOLERANCE
             break
         if config.tol_residual is not None and wnorm <= config.tol_residual:

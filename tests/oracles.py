@@ -5,7 +5,10 @@ quadratic-measurement oracle contracts the full (m, d, d) stack with einsum,
 spectral norms come from a dense eigendecomposition, adaptability constants from sums over
 the measurement matrices rather than a Gram product, scalar roots from plain
 bisection, and prox maps from grid refinement / support enumeration on the
-defining objectives.
+defining objectives.  The kernel forms below are the exception: they are
+written with numpy's ``np.sum`` and ``np.linalg.norm`` wrappers, and the
+library's per-iteration code, which calls the ufuncs directly, must match
+them bit for bit.
 """
 
 from itertools import combinations
@@ -56,6 +59,30 @@ def bisect_root(f, lo, hi, iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def sum_kernel_value(kind, x):
+    """h(x) along the last axis: 1/2 ||x||^2, or 1/4 ||x||^4 + 1/2 ||x||^2."""
+    sq = np.sum(x * x, axis=-1)
+    return 0.5 * sq if kind == "energy" else 0.25 * sq * sq + 0.5 * sq
+
+
+def sum_kernel_gradient(kind, x):
+    """grad h(x): x, or (||x||^2 + 1) x, along the last axis."""
+    if kind == "energy":
+        return x.copy()
+    return (np.sum(x * x, axis=-1, keepdims=True) + 1.0) * x
+
+
+def sum_kernel_bregman(kind, x, y):
+    """D_h(x, y) = h(x) - h(y) - <grad h(y), x - y> along the last axis."""
+    return (sum_kernel_value(kind, x) - sum_kernel_value(kind, y)
+            - np.sum(sum_kernel_gradient(kind, y) * (x - y), axis=-1))
+
+
+def linalg_norm(v):
+    """||v|| of one vector, from numpy's own norm."""
+    return float(np.linalg.norm(v))
 
 
 def fd_gradient(func, x, h=1e-6):

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
+from oracles import sum_kernel_bregman, sum_kernel_gradient, sum_kernel_value
+
 from bpg import Kernel
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def bregman_from_definition(value, gradient, x, y):
@@ -116,7 +123,22 @@ class TestBregman:
         xs, ys = rng.standard_normal((8, 3)), rng.standard_normal((8, 3))
         batched = k.bregman(xs, ys)
         single = [k.bregman(x, y) for x, y in zip(xs, ys)]
-        np.testing.assert_allclose(batched, single, rtol=1e-14)
+        assert_same_bits(batched, single)
+
+
+@pytest.mark.parametrize("make", [Kernel.energy, Kernel.quartic])
+@pytest.mark.parametrize("d", [3, 8, 64])
+def test_matches_np_sum_forms_bit_for_bit(make, d):
+    k = make(d)
+    rng = np.random.default_rng(d)
+    # rows from 1e-3 to 1e3 in norm, so the quartic term ranges from
+    # negligible to dominant
+    scale = np.geomspace(1e-3, 1e3, 16)[:, None]
+    xs, ys = scale * rng.standard_normal((16, d)), rng.standard_normal((16, d))
+    for x, y in [*zip(xs, ys), (xs, ys)]:
+        assert_same_bits(k.value(x), sum_kernel_value(k.kind, x))
+        assert_same_bits(k.gradient(x), sum_kernel_gradient(k.kind, x))
+        assert_same_bits(k.bregman(x, y), sum_kernel_bregman(k.kind, x, y))
 
 
 def test_kernel_is_immutable():

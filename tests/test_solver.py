@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dense_instance, random_regularizer
-from oracles import grid_minimize
+from oracles import grid_minimize, linalg_norm
 
 from bpg import (
     BpgConfig,
@@ -12,8 +12,10 @@ from bpg import (
     DivergenceError,
     IterateTrace,
     Kernel,
+    L0Ball,
     L1,
     Problem,
+    QipInstance,
     SmadCertificate,
     bpg_step,
     make_problem,
@@ -22,6 +24,7 @@ from bpg import (
     run_bpg,
 )
 import bpg.qip
+from bpg.solver import DIVERGENCE_NORM
 
 
 def quadratic_problem(c, d=2):
@@ -82,9 +85,20 @@ class TestBpgStep:
         with pytest.raises(DecreaseViolationError):
             run_bpg(lying, config)
 
-    def test_non_finite_prox_output(self):
+    @pytest.mark.parametrize("bad", [
+        [np.nan, 0.0],
+        [np.inf, 0.0],
+        # finite, but the square sum overflows; recent numpy reports that as
+        # a RuntimeWarning from the guard's dot before the guard raises
+        pytest.param([1e200, 1e200], marks=pytest.mark.filterwarnings(
+            "ignore:overflow encountered in dot:RuntimeWarning")),
+        [DIVERGENCE_NORM * (1.0 + 1e-12), 0.0],
+    ], ids=["nan", "inf", "square-overflow", "past-guard"])
+    def test_non_finite_prox_output(self, bad):
+        bad = np.array(bad)
+        assert not linalg_norm(bad) <= DIVERGENCE_NORM
         prob = quadratic_problem([0.0, 0.0])
-        prob.prox_map = lambda x, lam: np.array([np.nan, 0.0])
+        prob.prox_map = lambda x, lam: bad
         with pytest.raises(DivergenceError):
             bpg_step(prob, 0.5, np.array([1.0, 0.0]))
 
@@ -223,6 +237,25 @@ class TestRunBpg:
         assert iters == 20
         assert 0 < counts["oracle"] <= 3 * iters + 2
         assert 0 < counts["grad_h"] <= 4 * iters
+
+    def test_trace_norms_match_linalg_norm(self):
+        # rank-one d=8 l0: the phase-retrieval benchmark's shape
+        rng = np.random.default_rng(57)
+        factors = rng.standard_normal((16, 8))
+        x_true = np.zeros(8)
+        x_true[[1, 5]] = rng.standard_normal(2)
+        inst = QipInstance(b=(factors @ x_true) ** 2, regularizer=L0Ball(2), factors=factors)
+        prob = make_problem(inst, Kernel.quartic(8))
+        lam = 0.99 / prob.smad.L
+        res = run_bpg(prob, BpgConfig(x0=rng.standard_normal(8), lam=lam, max_iters=200,
+                                      tol_step=0.0, keep_iterates=True))
+        it, h = res.iterates, prob.kernel
+        assert res.iterations == 200
+        for k in range(1, len(it)):
+            w = (prob.g_gradient(it[k]) - prob.g_gradient(it[k - 1])
+                 + (h.gradient(it[k - 1]) - h.gradient(it[k])) / lam)
+            assert res.trace.witness_norm[k] == linalg_norm(w)
+            assert res.trace.step_norm[k] == linalg_norm(it[k] - it[k - 1])
 
     def test_witness_zero_implies_fixed_point(self):
         rng = np.random.default_rng(52)
