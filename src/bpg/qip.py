@@ -11,13 +11,12 @@ point's shape and bytes, so g(x+), grad g(x+) and the next step's grad g(x)
 take one residual pass.  The memo is one tuple set by one assignment, so a
 thread race can only miss; the data arrays are read-only copies.
 
-Paired with the quartic-plus-quadratic kernel, the Bregman proximal step has
-an explicit solution for both an l1 penalty and an l0-ball (sparsity)
-constraint, and both are the same map: threshold the vector p of
+Paired with the paper's kernel h(x) = 1/4 ||x||^4 + 1/2 ||x||^2, the Bregman
+proximal step has an explicit solution for both an l1 penalty and an l0-ball
+(sparsity) constraint, and both are the same map: threshold the vector p of
 :func:`p_lambda` to v = S(p) (soft) or H_s(p) (hard), then return
-(grad h)^{-1}(-v) = -(eta / ||v||) v, where eta is the root of the one cubic
-eta^3 + eta = ||v||, given in closed form by the triple-angle identity
-sinh(3u) = 3 sinh(u) + 4 sinh(u)^3 and polished by one Newton step.
+(grad h)^{-1}(-v), the kernel's inverse gradient, which :mod:`bpg.kernels`
+gives in closed form.
 
 The certified adaptability constant (source ``qip-gram``) is
 L* = max(3*lam, beta), lam = lambda_max(sum_i A_i^2), beta = ||sum_i b_i A_i||:
@@ -32,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import QUARTIC_PLUS_QUADRATIC
+# cubic_root_l0 and cubic_root_l1 are re-exported: the benchmark's tracer
+# looks them up in this module
+from .kernels import Kernel, _radial_step, cubic_root_l0, cubic_root_l1  # noqa: F401
 from .smad import QIP_GRAM, SmadCertificate, check_symmetric
 from .solver import Problem
 
@@ -265,68 +266,6 @@ def hard_threshold(y, s):
     return out
 
 
-def _coefficients(c):
-    """A Python float, or a float array, of finite nonnegative coefficients."""
-    if isinstance(c, float) or np.ndim(c) == 0:
-        c = float(c)
-        ok = math.isfinite(c) and c >= 0
-    else:
-        c = np.asarray(c, dtype=float)
-        ok = np.all(np.isfinite(c)) and not np.any(c < 0)
-    if not ok:
-        raise ValueError("coefficient must be finite and nonnegative")
-    return c
-
-
-# eta = (2/sqrt(3)) sinh(u) turns eta^3 + eta = c into sinh(3u) = M*c.  Past
-# c = T, asinh(M*c) equals log(2*M*c) to double precision, so the root splits
-# it as asinh(M*T) + log(c/T), and M*c never overflows.
-_M = 1.5 * math.sqrt(3.0)
-_T = 1e8 / _M
-
-
-def cubic_root_l0(c):
-    """Unique nonnegative root eta of eta^3 + eta - c = 0 for c >= 0.
-
-    Accepts a scalar or an array of coefficients.  The triple-angle identity
-    sinh(3u) = 3 sinh(u) + 4 sinh(u)^3 gives the root in closed form, without
-    cancellation: eta = (2/sqrt(3)) sinh(asinh(M c) / 3), M = 3 sqrt(3) / 2.
-    One Newton step then brings it to within a few ulp of the exact root at
-    every magnitude.  Scalars and arrays go through the same numpy ufuncs, so
-    they agree bit for bit.
-    """
-    c = _coefficients(c)
-    z = np.arcsinh(_M * np.minimum(c, _T)) + np.log(np.maximum(c, _T) / _T)
-    eta = (2.0 / math.sqrt(3.0)) * np.sinh(z / 3.0)
-    return eta - (eta * eta * eta + eta - c) / (3.0 * eta * eta + 1.0)
-
-
-def cubic_root_l1(a):
-    """Unique root t in (0, 1] of a*t^3 + t - 1 = 0 for a >= 0.
-
-    The substitution eta = sqrt(a) * t turns it into eta^3 + eta = sqrt(a),
-    so t = cubic_root_l0(sqrt(a)) / sqrt(a), and t = 1 at a = 0.  Accepts a
-    scalar or an array.  The prox maps do not call it; it stays public
-    because it is the paper's form of the l1 prox scaling (-t * S(p) with
-    a = ||S(p)||^2), which acceptance criterion 5 and the benchmark's tracer
-    name.
-    """
-    r = np.sqrt(_coefficients(a))
-    # [()] unwraps the 0-d result of a scalar a
-    return np.divide(cubic_root_l0(r), r, out=np.ones_like(r), where=r > 0)[()]
-
-
-def _radial_step(v):
-    """u = (grad h)^{-1}(-v) = -(eta / ||v||) v, where eta^3 + eta = ||v||.
-
-    The cubic is solved even for v = 0 (eta = 0, u = -v), so every prox call
-    makes exactly one cubic solve.
-    """
-    nv = math.sqrt(v.dot(v))
-    eta = cubic_root_l0(nv)
-    return -(eta / nv if nv > 0 else 1.0) * v
-
-
 def prox_l1(p, lam_theta):
     """Bregman proximal step for the l1 penalty under the quartic kernel.
 
@@ -357,16 +296,17 @@ def prox_l0(p, s):
 def make_problem(inst, kernel):
     """Bind a QIP instance and the quartic kernel into a solver-ready Problem.
 
-    The quartic-plus-quadratic kernel is the only pairing with a certificate
-    for quadratic measurements, so any other kernel is rejected.  The
+    ``kernel`` must be ``Kernel.quartic(inst.d)``, the paper's kernel: it is
+    the only pairing with a certificate for quadratic measurements.  The
     adaptability constant is the instance's certified L* (source
     ``qip-gram``, see :meth:`QipInstance.smad_certificate`).
     """
-    if kernel.dimension != inst.d:
-        raise ValueError(f"kernel dimension {kernel.dimension} != instance dimension {inst.d}")
-    if kernel.kind != QUARTIC_PLUS_QUADRATIC:
-        raise ValueError(f"kernel {kernel.kind!r} carries no certificate for quadratic "
-                         "measurements; use the quartic kernel")
+    # kernel != Kernel.quartic(inst.d), without building a second Kernel:
+    # cold, that costs about 60 us, 7% of a d=8 load-and-certify set-up
+    if type(kernel) is not Kernel or kernel.dimension != inst.d:
+        raise ValueError(f"make_problem needs Kernel.quartic({inst.d}), the kernel "
+                         f"1/4 ||x||^4 + 1/2 ||x||^2 on R^{inst.d} that L* certifies; "
+                         f"got {kernel!r}")
     reg = inst.regularizer
     return Problem(
         g_value=lambda x: qip_value(inst, x),

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 QIP_GRAM = "qip-gram"
-USER_SUPPLIED = "user-supplied"
 
 _SYMMETRY_TOL = 1e-10
 _DESCENT_SLACK = 1e-9
@@ -32,10 +31,10 @@ PAIR_BLOCK = 1024
 
 @dataclass(frozen=True)
 class SmadCertificate:
-    """An adaptability constant L > 0 together with its provenance."""
+    """An adaptability constant L > 0 together with its provenance, such as ``QIP_GRAM``."""
 
     L: float
-    source: str = USER_SUPPLIED
+    source: str
 
     def __post_init__(self):
         if not (self.L > 0 and math.isfinite(self.L)):

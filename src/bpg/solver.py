@@ -186,12 +186,13 @@ class SolveResult:
 
 
 def _check_decrease(lam, L, psi_x, psi_new, dh):
-    if not math.isfinite(psi_x):
+    if psi_x == math.inf:
         return  # infeasible start: the inequality is vacuous
     slack = DECREASE_SLACK * (1.0 + abs(psi_x))
-    if lam * psi_new > lam * psi_x - (1.0 - lam * L) * dh + slack:
+    # negated, so that a NaN on either side (or in D_h) is a violation too
+    if not lam * psi_new <= lam * psi_x - (1.0 - lam * L) * dh + slack:
         raise DecreaseViolationError(
-            f"sufficient decrease violated: lam*Psi(x+)={lam * psi_new:.6e} > "
+            f"sufficient decrease violated: lam*Psi(x+)={lam * psi_new:.6e} is not <= "
             f"lam*Psi(x)-(1-lam*L)*D_h={lam * psi_x - (1.0 - lam * L) * dh:.6e} "
             f"(lam={lam}, L={L}); check the adaptability constant and the prox map"
         )
@@ -199,15 +200,18 @@ def _check_decrease(lam, L, psi_x, psi_new, dh):
 
 def _check_lower_bound(problem, psi, name):
     bound = problem.psi_lower_bound
-    if psi < bound - DECREASE_SLACK * (1.0 + abs(bound)):
+    if not psi >= bound - DECREASE_SLACK * (1.0 + abs(bound)):
         raise ValueError(
-            f"{name}={psi:.6e} is below the declared lower bound {bound:.6e}; "
+            f"{name}={psi:.6e} is NaN or below the declared lower bound {bound:.6e}; "
             f"the bound or the problem data is wrong"
         )
 
 
 def _guard_iterate(x):
-    n = math.sqrt(x.dot(x))  # NaN or inf if any entry is, inf if the square sum overflows
+    try:
+        n = math.sqrt(x.dot(x))  # NaN or inf if any entry is, inf if the square sum overflows
+    except RuntimeWarning:  # the overflow, where warnings are errors
+        n = math.inf
     if not n <= DIVERGENCE_NORM:
         raise DivergenceError(f"iterate norm {n:.3e} is not finite or exceeds {DIVERGENCE_NORM:.0e}")
 
@@ -228,7 +232,9 @@ def bpg_step(problem, lam, x, psi=None, grad=None):
     Pass ``psi`` = Psi(x) and ``grad`` = grad g(x) when they are at hand (the
     previous Step's fields); otherwise they are computed.  Raises ValueError
     unless 0 < lam*L < 1 and Psi(x+) respects ``problem.psi_lower_bound``;
-    x is checked to be finite only when ``psi`` is not passed.
+    x is checked to be finite only when ``psi`` is not passed.  A NaN Psi, or
+    an infinite Psi(x+) after a finite Psi(x), fails the decrease check; only
+    an infeasible x (Psi(x) = +inf) makes that check vacuous.
     """
     L = problem.smad.L
     lam = resolve_step(lam, L)
@@ -242,9 +248,9 @@ def bpg_step(problem, lam, x, psi=None, grad=None):
     x_new = np.asarray(problem.prox_map(x, lam), dtype=float)
     _guard_iterate(x_new)
     psi_new = problem.psi(x_new)
-    _check_lower_bound(problem, psi_new, "Psi(x+)")
     dh = float(problem.kernel.bregman(x_new, x))
     _check_decrease(lam, L, psi, psi_new, dh)
+    _check_lower_bound(problem, psi_new, "Psi(x+)")
     grad_new = np.asarray(problem.g_gradient(x_new), dtype=float)
     w = grad_new - grad + (problem.kernel.gradient(x) - problem.kernel.gradient(x_new)) / lam
     return Step(x_new, psi_new, grad_new, dh, w)
@@ -255,6 +261,7 @@ def run_bpg(problem, config):
 
     Raises :class:`DecreaseViolationError` / :class:`DivergenceError` on
     diagnostics; reaching ``max_iters`` is a reported reason, not an error.
+    A Psi(x0) that is NaN or below ``problem.psi_lower_bound`` is a ValueError.
     """
     lam = resolve_step(config.lam, problem.smad.L)
     x = config.x0.copy()

@@ -61,23 +61,39 @@ def bisect_root(f, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
-def sum_kernel_value(kind, x):
-    """h(x) along the last axis: 1/2 ||x||^2, or 1/4 ||x||^4 + 1/2 ||x||^2."""
+def sum_kernel_value(x):
+    """h(x) = 1/4 ||x||^4 + 1/2 ||x||^2 along the last axis."""
     sq = np.sum(x * x, axis=-1)
-    return 0.5 * sq if kind == "energy" else 0.25 * sq * sq + 0.5 * sq
+    return 0.25 * sq * sq + 0.5 * sq
 
 
-def sum_kernel_gradient(kind, x):
-    """grad h(x): x, or (||x||^2 + 1) x, along the last axis."""
-    if kind == "energy":
-        return x.copy()
+def sum_kernel_gradient(x):
+    """grad h(x) = (||x||^2 + 1) x along the last axis."""
     return (np.sum(x * x, axis=-1, keepdims=True) + 1.0) * x
 
 
-def sum_kernel_bregman(kind, x, y):
+def sum_kernel_bregman(x, y):
     """D_h(x, y) = h(x) - h(y) - <grad h(y), x - y> along the last axis."""
-    return (sum_kernel_value(kind, x) - sum_kernel_value(kind, y)
-            - np.sum(sum_kernel_gradient(kind, y) * (x - y), axis=-1))
+    return (sum_kernel_value(x) - sum_kernel_value(y)
+            - np.sum(sum_kernel_gradient(y) * (x - y), axis=-1))
+
+
+class EnergyKernel:
+    """h(x) = 1/2 ||x||^2, for solver tests in Euclidean geometry.
+
+    The solver takes any kernel with ``value``, ``gradient`` and ``bregman``;
+    under this one D_h(x, y) = ||x - y||^2 / 2 and the Bregman step is a
+    plain gradient step.  ``make_problem`` rejects it.
+    """
+
+    def value(self, x):
+        return 0.5 * np.sum(x * x, axis=-1)
+
+    def gradient(self, x):
+        return np.array(x, dtype=float)
+
+    def bregman(self, x, y):
+        return 0.5 * np.sum((x - y) ** 2, axis=-1)
 
 
 def linalg_norm(v):

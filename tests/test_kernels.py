@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import sum_kernel_bregman, sum_kernel_gradient, sum_kernel_value
+from oracles import EnergyKernel, sum_kernel_bregman, sum_kernel_gradient, sum_kernel_value
 
 from bpg import Kernel
+from bpg.kernels import _radial_step
 
 
 def assert_same_bits(a, b):
@@ -16,10 +17,6 @@ def bregman_from_definition(value, gradient, x, y):
 
 
 class TestValues:
-    def test_energy_value(self):
-        k = Kernel.energy(2)
-        assert k.value(np.array([3.0, 4.0])) == pytest.approx(12.5)
-
     def test_quartic_value_at_zero(self):
         k = Kernel.quartic(3)
         assert k.value(np.zeros(3)) == 0.0
@@ -30,16 +27,12 @@ class TestValues:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            Kernel.energy(3).value(np.array([1.0, 2.0]))
+            Kernel.quartic(3).value(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             Kernel.quartic(2).gradient(np.zeros(4))
 
 
 class TestGradients:
-    def test_energy_gradient_is_identity(self):
-        x = np.array([1.0, -2.0])
-        np.testing.assert_array_equal(Kernel.energy(2).gradient(x), x)
-
     def test_quartic_gradient_unit(self):
         g = Kernel.quartic(2).gradient(np.array([1.0, 0.0]))
         np.testing.assert_allclose(g, [2.0, 0.0])
@@ -55,15 +48,16 @@ class TestGradients:
             fd = fd_gradient(k.value, x)
             np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
 
+    def test_radial_step_inverts_gradient(self):
+        # grad h(u) = -v for u = (grad h)^{-1}(-v), from ||v|| = 0 to 1e12
+        k = Kernel.quartic(4)
+        rng = np.random.default_rng(8)
+        for scale in [0.0, *np.geomspace(1e-12, 1e12, 25)]:
+            v = scale * rng.standard_normal(4)
+            np.testing.assert_allclose(k.gradient(_radial_step(v)), -v, rtol=1e-13, atol=0)
+
 
 class TestBregman:
-    def test_energy_is_half_squared_distance(self):
-        k = Kernel.energy(3)
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            x, y = rng.standard_normal(3), rng.standard_normal(3)
-            assert k.bregman(x, y) == pytest.approx(0.5 * np.sum((x - y) ** 2), rel=1e-12)
-
     def test_zero_at_equal_points(self):
         k = Kernel.quartic(2)
         x = np.array([0.3, -1.2])
@@ -74,7 +68,7 @@ class TestBregman:
         x = np.array([1.0, 0.0])
         assert k.bregman(x, np.zeros(2)) == pytest.approx(0.75)
 
-    @pytest.mark.parametrize("make", [Kernel.energy, Kernel.quartic])
+    @pytest.mark.parametrize("make", [Kernel.quartic])
     def test_nonnegative_and_strongly_convex(self, make):
         rng = np.random.default_rng(2)
         for d in (2, 5, 10):
@@ -92,7 +86,7 @@ class TestBregman:
         y = x + 1e-3
         assert k.bregman(x, y) > 0
 
-    @pytest.mark.parametrize("make", [Kernel.energy, Kernel.quartic])
+    @pytest.mark.parametrize("make", [Kernel.quartic])
     def test_three_point_identity(self, make):
         rng = np.random.default_rng(4)
         for d in (2, 5, 10):
@@ -107,7 +101,7 @@ class TestBregman:
     def test_linear_additivity(self):
         rng = np.random.default_rng(5)
         d = 4
-        k1, k2 = Kernel.energy(d), Kernel.quartic(d)
+        k1, k2 = EnergyKernel(), Kernel.quartic(d)
         for _ in range(20):
             a, b = rng.random(2) * 3.0
             x, y = rng.standard_normal(d), rng.standard_normal(d)
@@ -126,7 +120,7 @@ class TestBregman:
         assert_same_bits(batched, single)
 
 
-@pytest.mark.parametrize("make", [Kernel.energy, Kernel.quartic])
+@pytest.mark.parametrize("make", [Kernel.quartic])
 @pytest.mark.parametrize("d", [3, 8, 64])
 def test_matches_np_sum_forms_bit_for_bit(make, d):
     k = make(d)
@@ -136,20 +130,15 @@ def test_matches_np_sum_forms_bit_for_bit(make, d):
     scale = np.geomspace(1e-3, 1e3, 16)[:, None]
     xs, ys = scale * rng.standard_normal((16, d)), rng.standard_normal((16, d))
     for x, y in [*zip(xs, ys), (xs, ys)]:
-        assert_same_bits(k.value(x), sum_kernel_value(k.kind, x))
-        assert_same_bits(k.gradient(x), sum_kernel_gradient(k.kind, x))
-        assert_same_bits(k.bregman(x, y), sum_kernel_bregman(k.kind, x, y))
+        assert_same_bits(k.value(x), sum_kernel_value(x))
+        assert_same_bits(k.gradient(x), sum_kernel_gradient(x))
+        assert_same_bits(k.bregman(x, y), sum_kernel_bregman(x, y))
 
 
 def test_kernel_is_immutable():
-    k = Kernel.energy(2)
+    k = Kernel.quartic(2)
     with pytest.raises(AttributeError):
-        k.kind = "other"
-
-
-def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        Kernel("entropy", 2)
+        k.dimension = 3
 
 
 @pytest.mark.parametrize("dimension", [2.5, "3", 0])

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_dense_instance
 from oracles import (
+    EnergyKernel,
     bisect_root,
     einsum_qip_gradient,
     einsum_qip_value,
@@ -642,13 +643,13 @@ class TestMakeProblem:
     def test_energy_kernel_requires_override(self):
         rng = np.random.default_rng(37)
         inst = random_dense_instance(rng, d=3, m=4)
-        with pytest.raises(ValueError, match="no certificate"):
-            make_problem(inst, Kernel.energy(3))
+        with pytest.raises(ValueError, match=r"needs Kernel\.quartic\(3\)"):
+            make_problem(inst, EnergyKernel())
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(39)
         inst = random_dense_instance(rng, d=3, m=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"needs Kernel\.quartic\(3\)"):
             make_problem(inst, Kernel.quartic(4))
 
     def test_f_value_bookkeeping(self):

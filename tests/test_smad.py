@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ball_samples, random_dense_instance
-from oracles import eig_qip_gram_constant, eig_spectral_norm, paper_qip_constant
+from oracles import EnergyKernel, eig_qip_gram_constant, eig_spectral_norm, paper_qip_constant
 
 from bpg import (
     L1,
@@ -185,9 +185,9 @@ class TestQipSmadConstant:
 class TestSmadCertificate:
     def test_positive_L_required(self):
         with pytest.raises(ValueError):
-            SmadCertificate(L=0.0)
+            SmadCertificate(L=0.0, source="zero")
         with pytest.raises(ValueError):
-            SmadCertificate(L=-1.0)
+            SmadCertificate(L=-1.0, source="negative")
 
 
 class TestDescentLemma:
@@ -228,13 +228,13 @@ class TestDescentLemma:
         assert report.n_violations >= 1
 
     def test_mismatched_samples_rejected(self):
-        k = Kernel.energy(2)
+        k = EnergyKernel()
         with pytest.raises(ValueError):
             check_descent_lemma(k.value, k.gradient, k, 1.0,
                                 np.zeros((3, 2)), np.zeros((4, 2)))
 
     def test_empty_or_non_finite_samples_rejected(self):
-        k = Kernel.energy(2)
+        k = EnergyKernel()
         bad = np.zeros((3, 2))
         bad[1, 0] = np.nan
         for xs in (np.zeros((0, 2)), bad, np.full((3, 2), np.inf)):
@@ -243,7 +243,7 @@ class TestDescentLemma:
 
     def test_nan_margin_is_a_violation(self):
         # finite samples whose values overflow give NaN margins
-        k = Kernel.energy(2)
+        k = EnergyKernel()
         xs = np.full((2, 2), 1e200)
         with np.errstate(over="ignore", invalid="ignore"):
             report = check_descent_lemma(k.value, k.gradient, k, 1.0, xs, -xs)
@@ -278,7 +278,7 @@ class TestDescentLemma:
         assert blocked.worst_margin == pytest.approx(whole.worst_margin, rel=1e-12)
 
     def test_default_block_bounds_every_call(self):
-        k = Kernel.energy(2)
+        k = EnergyKernel()
         rng = np.random.default_rng(20)
         n = 2 * smad.PAIR_BLOCK + 7
         xs, ys = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dense_instance, random_regularizer
-from oracles import grid_minimize, linalg_norm
+from oracles import EnergyKernel, grid_minimize, linalg_norm
 
 from bpg import (
     BpgConfig,
@@ -24,10 +24,10 @@ from bpg import (
     run_bpg,
 )
 import bpg.qip
-from bpg.solver import DIVERGENCE_NORM
+from bpg.solver import DIVERGENCE_NORM, _guard_iterate
 
 
-def quadratic_problem(c, d=2):
+def quadratic_problem(c):
     """f == 0, g = ||x - c||^2 / 2 with the energy kernel; prox is a gradient step."""
     c = np.asarray(c, dtype=float)
     return Problem(
@@ -35,8 +35,8 @@ def quadratic_problem(c, d=2):
         g_gradient=lambda x: x - c,
         prox_map=lambda x, lam: x - lam * (x - c),
         f_value=lambda x: 0.0,
-        kernel=Kernel.energy(d),
-        smad=SmadCertificate(L=1.0),
+        kernel=EnergyKernel(),
+        smad=SmadCertificate(L=1.0, source="D_g = D_h"),
         psi_lower_bound=0.0,
     )
 
@@ -80,7 +80,7 @@ class TestBpgStep:
         inst = random_dense_instance(rng, d=4, m=6, regularizer=L1(theta=0.05))
         prob = make_problem(inst, Kernel.quartic(4))
         true_L = prob.smad.L
-        lying = dataclasses.replace(prob, smad=SmadCertificate(L=true_L / 50.0))
+        lying = dataclasses.replace(prob, smad=SmadCertificate(L=true_L / 50.0, source="test"))
         config = BpgConfig(x0=5.0 * np.ones(4), lam=0.99 / lying.smad.L, max_iters=200)
         with pytest.raises(DecreaseViolationError):
             run_bpg(lying, config)
@@ -88,15 +88,15 @@ class TestBpgStep:
     @pytest.mark.parametrize("bad", [
         [np.nan, 0.0],
         [np.inf, 0.0],
-        # finite, but the square sum overflows; recent numpy reports that as
-        # a RuntimeWarning from the guard's dot before the guard raises
-        pytest.param([1e200, 1e200], marks=pytest.mark.filterwarnings(
-            "ignore:overflow encountered in dot:RuntimeWarning")),
+        # finite, but the square sum overflows: numpy's dot warns, and the
+        # warning is an error under this suite's filter
+        [1e200, 1e200],
         [DIVERGENCE_NORM * (1.0 + 1e-12), 0.0],
     ], ids=["nan", "inf", "square-overflow", "past-guard"])
     def test_non_finite_prox_output(self, bad):
         bad = np.array(bad)
-        assert not linalg_norm(bad) <= DIVERGENCE_NORM
+        with np.errstate(over="ignore"):
+            assert not linalg_norm(bad) <= DIVERGENCE_NORM
         prob = quadratic_problem([0.0, 0.0])
         prob.prox_map = lambda x, lam: bad
         with pytest.raises(DivergenceError):
@@ -163,12 +163,42 @@ class TestRunBpg:
             g_gradient=lambda x: -2.0 * x,
             prox_map=lambda x, lam: 2.0 * x,
             f_value=lambda x: 0.0,
-            kernel=Kernel.energy(d),
-            smad=SmadCertificate(L=1.0),
+            kernel=EnergyKernel(),
+            smad=SmadCertificate(L=1.0, source="test"),
             psi_lower_bound=-1e30,
         )
         with pytest.raises(DivergenceError):
             run_bpg(prob, BpgConfig(x0=np.ones(d), lam=0.5, max_iters=100))
+
+    def test_square_sum_overflow_is_divergence(self):
+        # under this suite's error filter for RuntimeWarning, numpy's dot
+        # raises its overflow warning; the guard must still report divergence
+        with pytest.raises(DivergenceError):
+            _guard_iterate(np.full(8, 1e200))
+        prob = quadratic_problem([0.0, 0.0])
+        prob.prox_map = lambda x, lam: np.full(2, 1e200)
+        with pytest.raises(DivergenceError):
+            run_bpg(prob, BpgConfig(x0=np.ones(2), lam=0.5, max_iters=5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_psi_after_a_step_is_a_decrease_violation(self, bad):
+        # Psi(x0) = 2; the step halves x, and g is `bad` left of x[0] = 1.5
+        prob = quadratic_problem([0.0, 0.0])
+        g = prob.g_value
+        prob.g_value = lambda x: bad if x[0] < 1.5 else g(x)
+        with pytest.raises(DecreaseViolationError):
+            run_bpg(prob, BpgConfig(x0=np.array([2.0, 0.0]), lam=0.5, max_iters=5))
+
+    def test_nan_psi_at_start_rejected(self):
+        prob = quadratic_problem([0.0, 0.0])
+        prob.g_value = lambda x: np.nan
+        prob.prox_map = lambda x, lam: 2.0 * x
+        x0 = np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match=r"Psi\(x0\)=nan is NaN or below"):
+            run_bpg(prob, BpgConfig(x0=x0, lam=0.5, max_iters=5))
+        # a step from a NaN Psi(x) is checked, not skipped like an infeasible one
+        with pytest.raises(DecreaseViolationError):
+            bpg_step(prob, 0.5, x0)
 
     def test_random_qip_l1_guarantees(self):
         rng = np.random.default_rng(51)
