@@ -6,44 +6,44 @@ The solver's step size is justified by the inequality
 
 with the certified constant L* = max(3 lambda_max(sum_i A_i^2),
 ||sum_i b_i A_i||) computed from the measurement matrices.  This script
-samples many point pairs and confirms the inequality holds with margin, then
-shows that shrinking L* breaks it -- the certificate is tight in kind, not
-vacuous.
+audits the pair (h, L*) that ``make_problem`` hands the solver, as ``bpg
+check`` does: it samples many point pairs and confirms the inequality holds
+with margin, then shows that shrinking L* breaks it -- the certificate is
+tight in kind, not vacuous.
 """
 
 import numpy as np
 
-from bpg import Kernel, check_descent_lemma, qip_gradient, qip_value
+from bpg import Kernel, check_descent_lemma, make_problem
 from bpg.instances import generate_instance
 
 
-def audit(inst, L, n_pairs=20_000, radius=10.0, seed=0):
+def audit(problem, L, n_pairs=20_000, radius=10.0, seed=0):
     rng = np.random.default_rng(seed)
-    d = inst.d
+    d = problem.kernel.dimension
 
     def ball(n):
         v = rng.standard_normal((n, d))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         return radius * rng.random((n, 1)) ** (1.0 / d) * v
 
-    return check_descent_lemma(
-        lambda x: qip_value(inst, x), lambda x: qip_gradient(inst, x),
-        Kernel.quartic(d), L, ball(n_pairs), ball(n_pairs),
-    )
+    return check_descent_lemma(problem.g_value, problem.g_gradient, problem.kernel, L,
+                               ball(n_pairs), ball(n_pairs))
 
 
 def main():
     _, inst, _ = generate_instance(d=8, m=20, s_true=2, noise=0.1, seed=4,
                                    kind="dense-symmetric")
-    cert = inst.smad_certificate()
+    problem = make_problem(inst, Kernel.quartic(inst.d))
+    cert = problem.smad
     print(f"certified constant L* = {cert.L:.4e} ({cert.source})")
 
-    report = audit(inst, cert.L)
+    report = audit(problem, cert.L)
     print(f"certified L*: {report.n_violations} violations over 20000 pairs, "
           f"worst margin {report.worst_margin:.3e}")
 
     for shrink in (10.0, 1e3):
-        bad = audit(inst, cert.L / shrink)
+        bad = audit(problem, cert.L / shrink)
         print(f"L* / {shrink:g}: {bad.n_violations} violations "
               f"(worst margin {bad.worst_margin:.3e})")
 

@@ -5,7 +5,8 @@ Verbs:
 * ``bpg generate`` -- write a synthetic instance file.
 * ``bpg solve``    -- run (multi-start) solves on an instance, emitting one
   trace CSV and one summary per start plus a best-of report.
-* ``bpg check``    -- sampled verification of the descent certificate.
+* ``bpg check``    -- sampled verification of the descent certificate, for
+  the kernel and constant L that ``make_problem`` gives ``bpg solve``.
 
 Each verb is a function of the parsed arguments.  ``main`` is the one error
 boundary: a ``ValueError`` or ``OSError`` from any verb prints ``error: ...``
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import instances
 from .kernels import Kernel
-from .qip import L0Ball, L1, hard_threshold, make_problem, qip_value, qip_gradient
+from .qip import L0Ball, L1, hard_threshold, make_problem
 from .smad import check_descent_lemma
 from .solver import (
     BpgConfig,
@@ -88,6 +89,13 @@ def draw_starts(d, starts, seed, regularizer):
     return points
 
 
+def _write_json(path, obj):
+    """Deterministic JSON: sorted keys, one-space indent, a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
 def run_from_spec(args):
     """``bpg solve`` on the parsed arguments; writes artifacts under ``args.out``.
 
@@ -122,37 +130,26 @@ def run_from_spec(args):
     with ThreadPoolExecutor(max_workers=min(args.starts, os.cpu_count() or 1)) as pool:
         results = list(pool.map(one_start, configs))
 
-    failed = False
-    best = None
+    records = {}  # start index -> summary() plus the hex point, for finished starts
     for idx, (result, err) in enumerate(results):
         if err is not None:
-            failed = True
-            summary = {"start": idx, "error": type(err).__name__, "message": str(err)}
-        else:
-            result.trace.to_csv(out / f"trace_{idx:03d}.csv")
-            summary = {"start": idx, **result.summary(),
-                       "x": [float(v).hex() for v in result.x]}
-            if best is None or result.final_psi < best[1]:
-                best = (idx, result.final_psi, result)
-        with open(out / f"summary_{idx:03d}.json", "w") as fh:
-            json.dump(summary, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        tag = "FAIL" if err is not None else result.reason
-        line = f"start {idx}: {tag}"
-        if err is None:
-            line += f", iters={result.iterations}, psi={result.final_psi:.6e}, |w|={result.final_witness_norm:.3e}"
-        print(line)
+            _write_json(out / f"summary_{idx:03d}.json",
+                        {"start": idx, "error": type(err).__name__, "message": str(err)})
+            print(f"start {idx}: FAIL")
+            continue
+        result.trace.to_csv(out / f"trace_{idx:03d}.csv")
+        records[idx] = {**result.summary(), "x": [float(v).hex() for v in result.x]}
+        _write_json(out / f"summary_{idx:03d}.json", {"start": idx, **records[idx]})
+        print(f"start {idx}: {result.reason}, iters={result.iterations}, "
+              f"psi={result.final_psi:.6e}, |w|={result.final_witness_norm:.3e}")
 
-    if best is not None:
-        idx, psi, result = best
-        report = {"best_start": idx, **result.summary(),
-                  "x": [float(v).hex() for v in result.x],
-                  "lam": lam, "L": problem.smad.L}
-        with open(out / "best.json", "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+    if records:
+        # ties go to the lowest start index
+        psi, idx = min((record["final_psi"], idx) for idx, record in records.items())
+        _write_json(out / "best.json",
+                    {"best_start": idx, **records[idx], "lam": lam, "L": problem.smad.L})
         print(f"best: start {idx}, psi={psi:.6e}")
-    return EXIT_DIAGNOSTIC if failed else EXIT_OK
+    return EXIT_DIAGNOSTIC if len(records) < len(results) else EXIT_OK
 
 
 def _cmd_generate(args):
@@ -172,8 +169,7 @@ def _cmd_check(args):
     if not (np.isfinite(args.radius) and args.radius > 0):
         raise ValueError(f"--radius must be finite and positive, got {args.radius}")
     inst, _ = instances.load_instance(args.instance)
-    cert = inst.smad_certificate()
-    kernel = Kernel.quartic(inst.d)
+    problem = make_problem(inst, Kernel.quartic(inst.d))
     rng = np.random.default_rng(args.seed)
     # uniform in the radius-R ball
     def ball(n):
@@ -182,13 +178,10 @@ def _cmd_check(args):
         r = args.radius * rng.random(n) ** (1.0 / inst.d)
         return u * r[:, None]
 
-    report = check_descent_lemma(
-        lambda x: qip_value(inst, x),
-        lambda x: qip_gradient(inst, x),
-        kernel, cert.L, ball(args.samples), ball(args.samples),
-    )
+    report = check_descent_lemma(problem.g_value, problem.g_gradient, problem.kernel,
+                                 problem.smad.L, ball(args.samples), ball(args.samples))
     status = "PASS" if report.passed else "FAIL"
-    print(f"{status}: L={cert.L:.6e}, samples={args.samples}, radius={args.radius}, "
+    print(f"{status}: L={problem.smad.L:.6e}, samples={args.samples}, radius={args.radius}, "
           f"violations={report.n_violations}, worst margin={report.worst_margin:.3e}")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 

@@ -12,6 +12,15 @@ def random_dense_instance(rng, d, m, regularizer=None, scale=1.0):
     return QipInstance(b=b, regularizer=regularizer, matrices=matrices)
 
 
+def overflowing_instance(kind):
+    """A d=16 instance whose certificate's Gram product overflows float64."""
+    rng = np.random.default_rng(5)
+    if kind == "rank-one":
+        return QipInstance(b=np.ones(32), regularizer=L1(theta=0.1),
+                           factors=1e80 * rng.standard_normal((32, 16)))
+    return random_dense_instance(rng, 16, 32, scale=1e160)
+
+
 def random_regularizer(rng, d):
     if rng.random() < 0.5:
         return L1(theta=float(10.0 ** rng.uniform(-2, 0)))

@@ -1,10 +1,15 @@
 import base64
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bpg import BpgConfig, Kernel, L1, make_problem, qip_value, run_bpg
+from conftest import overflowing_instance
+
+from bpg import (BpgConfig, DecreaseViolationError, DivergenceError, Kernel, L1, QipInstance,
+                 make_problem, qip_value, run_bpg)
+from bpg import cli
 from bpg.cli import draw_starts, main
 from bpg.instances import (
     generate_instance,
@@ -243,14 +248,15 @@ class TestValidation:
             load_instance(path)
 
 
-class TestSolve:
-    @pytest.fixture()
-    def instance_path(self, tmp_path):
-        payload, _, _ = generate_instance(d=5, m=10, s_true=2, noise=0.0, seed=21)
-        path = tmp_path / "inst.json"
-        save_instance(payload, path)
-        return path
+@pytest.fixture()
+def instance_path(tmp_path):
+    payload, _, _ = generate_instance(d=5, m=10, s_true=2, noise=0.0, seed=21)
+    path = tmp_path / "inst.json"
+    save_instance(payload, path)
+    return path
 
+
+class TestSolve:
     def test_zero_iterations_boundary(self, instance_path, tmp_path):
         out = tmp_path / "run"
         code = main(["solve", "--instance", str(instance_path), "--max-iters", "0",
@@ -399,3 +405,81 @@ class TestCheck:
         code = main(["check", "--instance", str(tmp_path / "nope.json")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    """Exit 3 when a start hits a solver diagnostic, 4 when the audit fails."""
+
+    @staticmethod
+    def fail_starts(monkeypatch, instance_path, failing, error=DivergenceError):
+        """Make ``run_bpg`` raise ``error`` on the starts numbered in ``failing``
+        of a two-start solve at the default ``--seed 0``.
+
+        The starts run on a thread pool, so a start is known by its x0.
+        """
+        inst, _ = load_instance(instance_path)
+        x0s = draw_starts(inst.d, 2, 0, inst.regularizer)
+        bad = {x0s[i].tobytes() for i in failing}
+        real = cli.run_bpg
+
+        def run_bpg(problem, config):
+            if config.x0.tobytes() in bad:
+                raise error("injected failure")
+            return real(problem, config)
+
+        monkeypatch.setattr(cli, "run_bpg", run_bpg)
+
+    @pytest.mark.parametrize("error", [DivergenceError, DecreaseViolationError])
+    def test_one_failed_start(self, instance_path, tmp_path, capsys, monkeypatch, error):
+        self.fail_starts(monkeypatch, instance_path, [0], error)
+        out = tmp_path / "run"
+        code = main(["solve", "--instance", str(instance_path), "--starts", "2",
+                     "--max-iters", "200", "--out", str(out)])
+        assert code == 3
+        stdout = capsys.readouterr().out
+        assert "start 0: FAIL" in stdout and "best: start 1" in stdout
+        summary = json.loads((out / "summary_000.json").read_text())
+        assert summary == {"start": 0, "error": error.__name__, "message": "injected failure"}
+        assert not (out / "trace_000.csv").exists()
+        assert (out / "trace_001.csv").exists()
+        best = json.loads((out / "best.json").read_text())
+        assert best["best_start"] == 1
+        survivor = json.loads((out / "summary_001.json").read_text())
+        assert {k: best[k] for k in survivor if k != "start"} == {
+            k: v for k, v in survivor.items() if k != "start"}
+
+    def test_every_start_failed(self, instance_path, tmp_path, capsys, monkeypatch):
+        self.fail_starts(monkeypatch, instance_path, [0, 1])
+        out = tmp_path / "run"
+        code = main(["solve", "--instance", str(instance_path), "--starts", "2",
+                     "--max-iters", "200", "--out", str(out)])
+        assert code == 3
+        stdout = capsys.readouterr().out
+        assert "start 0: FAIL" in stdout and "start 1: FAIL" in stdout
+        assert "best:" not in stdout
+        assert sorted(p.name for p in out.iterdir()) == ["summary_000.json", "summary_001.json"]
+
+    def test_shrunk_certificate_fails_the_audit(self, tmp_path, capsys, monkeypatch):
+        payload, _, _ = generate_instance(d=16, m=48, s_true=3, noise=0.0, seed=1,
+                                          kind="dense-symmetric")
+        path = tmp_path / "inst.json"
+        save_instance(payload, path)
+        real = QipInstance.smad_certificate
+        monkeypatch.setattr(QipInstance, "smad_certificate",
+                            lambda self: replace(real(self), L=real(self).L / 1000))
+        code = main(["check", "--instance", str(path), "--samples", "2000"])
+        assert code == 4
+        stdout = capsys.readouterr().out
+        assert stdout.startswith("FAIL: ") and "violations=2000," in stdout
+
+    @pytest.mark.parametrize("verb", [["check"], ["solve", "--out", "run"]], ids=["check", "solve"])
+    @pytest.mark.parametrize("kind", ["dense", "rank-one"])
+    def test_overflowing_certificate_names_the_cause(self, tmp_path, capsys, monkeypatch,
+                                                     kind, verb):
+        path = tmp_path / "inst.json"
+        save_instance(instance_to_payload(overflowing_instance(kind)), path)
+        monkeypatch.chdir(tmp_path)
+        code = main([verb[0], "--instance", str(path), *verb[1:]])
+        assert code == 2
+        assert "overflow float64 in the certificate" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()

@@ -1,9 +1,10 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import ball_samples, random_dense_instance
+from conftest import ball_samples, overflowing_instance, random_dense_instance
 from oracles import EnergyKernel, eig_qip_gram_constant, eig_spectral_norm, paper_qip_constant
 
 from bpg import (
@@ -180,6 +181,17 @@ class TestQipSmadConstant:
             for inst in (dense, rank_one):
                 paper = paper_qip_constant(inst.dense_matrices(), inst.b)
                 assert inst.smad_certificate().L <= paper * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    @pytest.mark.parametrize("kind", ["dense", "rank-one"])
+    def test_overflow_names_the_cause(self, kind, action):
+        # the Gram product of entries 1e160 (or factors 1e80) leaves float64:
+        # numpy warns, or eigvalsh fails to converge on the inf entries
+        inst = overflowing_instance(kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(ValueError, match="overflow float64 in the certificate"):
+                inst.smad_certificate()
 
 
 class TestSmadCertificate:
