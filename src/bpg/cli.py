@@ -100,11 +100,14 @@ def run_from_spec(args):
     """``bpg solve`` on the parsed arguments; writes artifacts under ``args.out``.
 
     Returns the process exit code: 0 on clean termination of every start,
-    3 when any start hit a solver diagnostic.  Bad input raises ValueError
-    or OSError before ``args.out`` is created.
+    3 when any start hit a solver diagnostic.  Bad input, a non-empty
+    ``args.out`` too, raises ValueError or OSError before anything is written.
     """
     if args.starts < 1:
         raise ValueError(f"--starts must be at least 1, got {args.starts}")
+    out = Path(args.out)
+    if out.is_dir() and any(out.iterdir()):
+        raise ValueError(f"--out directory {out} is not empty")
     reg = _regularizer(args.reg, args.theta, args.s)
     inst, _ = instances.load_instance(args.instance)
     if reg is not None:
@@ -118,7 +121,6 @@ def run_from_spec(args):
         for x0 in draw_starts(inst.d, args.starts, args.seed, inst.regularizer)
     ]
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     def one_start(config):

@@ -1,12 +1,10 @@
 """The paper's kernel h(x) = 1/4 ||x||^4 + 1/2 ||x||^2 and its inverse gradient.
 
 :class:`Kernel` gives h, grad h and the Bregman distance D_h.  Its gradient
-grad h(x) = (||x||^2 + 1) x is radial, so its inverse is too:
-(grad h)^{-1}(-v) = -(eta / ||v||) v, where eta is the root of the one cubic
-eta^3 + eta = ||v||.  :func:`cubic_root_l0` gives that root in closed form
-from the triple-angle identity sinh(3u) = 3 sinh(u) + 4 sinh(u)^3, polished
-by one Newton step, and ``_radial_step`` applies the inverse; both prox maps
-of :mod:`bpg.qip` end with it.
+grad h(x) = (||x||^2 + 1) x is radial, so (grad h)^{-1}(-v) = -t v, where t
+solves the paper's l1 cubic ||v||^2 t^3 + t = 1.  ``_radial_step`` takes that
+step with one :func:`cubic_root_l1` call, and both prox maps of
+:mod:`bpg.qip` end with it; :func:`cubic_root_l0` shares its closed form.
 """
 
 import math
@@ -83,50 +81,43 @@ def _coefficients(c):
     return c
 
 
-# eta = (2/sqrt(3)) sinh(u) turns eta^3 + eta = c into sinh(3u) = M*c.  Past
-# c = T, asinh(M*c) equals log(2*M*c) to double precision, so the root splits
-# it as asinh(M*T) + log(c/T), and M*c never overflows.
-_M = 1.5 * math.sqrt(3.0)
-_T = 1e8 / _M
+def _root_ratio(c):
+    """eta / c for the root eta of eta^3 + eta = c, c >= 0; it is 1 at c = 0.
+
+    Cardano gives eta = A - 1/(3A), A = cbrt(c/2 + hypot(c/2, 1/sqrt(27))),
+    and c = eta (1 + eta^2) makes the ratio 1 / (1 + eta^2).  The subtraction
+    loses digits only where eta^2 vanishes next to 1, so the ratio is within a
+    few ulp and monotone (the sum A^2 + 1/3 + 1/(9 A^2) wobbles by an ulp
+    there); hypot keeps c^2/4 finite.  Scalars and arrays get the same bits.
+    """
+    a = np.cbrt(0.5 * c + np.hypot(0.5 * c, 27.0 ** -0.5))
+    eta = a - 1.0 / (3.0 * a)
+    return 1.0 / (1.0 + eta * eta)
 
 
 def cubic_root_l0(c):
     """Unique nonnegative root eta of eta^3 + eta - c = 0 for c >= 0.
 
-    Accepts a scalar or an array of coefficients.  The triple-angle identity
-    sinh(3u) = 3 sinh(u) + 4 sinh(u)^3 gives the root in closed form, without
-    cancellation: eta = (2/sqrt(3)) sinh(asinh(M c) / 3), M = 3 sqrt(3) / 2.
-    One Newton step then brings it to within a few ulp of the exact root at
-    every magnitude.  Scalars and arrays go through the same numpy ufuncs, so
-    they agree bit for bit.
+    Accepts a scalar or an array.  eta = c * ``_root_ratio(c)``, and one Newton
+    step leaves it within a few ulp of the exact root at every magnitude.
     """
     c = _coefficients(c)
-    z = np.arcsinh(_M * np.minimum(c, _T)) + np.log(np.maximum(c, _T) / _T)
-    eta = (2.0 / math.sqrt(3.0)) * np.sinh(z / 3.0)
+    eta = c * _root_ratio(c)
     return eta - (eta * eta * eta + eta - c) / (3.0 * eta * eta + 1.0)
 
 
 def cubic_root_l1(a):
-    """Unique root t in (0, 1] of a*t^3 + t - 1 = 0 for a >= 0.
+    """Unique root t in (0, 1] of a*t^3 + t - 1 = 0 for a >= 0: the paper's l1 cubic.
 
-    The substitution eta = sqrt(a) * t turns it into eta^3 + eta = sqrt(a),
-    so t = cubic_root_l0(sqrt(a)) / sqrt(a), and t = 1 at a = 0.  Accepts a
-    scalar or an array.  The prox maps do not call it; it stays public
-    because it is the paper's form of the l1 prox scaling (-t * S(p) with
-    a = ||S(p)||^2), which acceptance criterion 5 and the benchmark's tracer
-    name.
+    eta = sqrt(a) * t solves eta^3 + eta = sqrt(a), so t = ``_root_ratio(sqrt(a))``,
+    and t = 1 at a = 0.  Accepts a scalar or an array.
     """
-    r = np.sqrt(_coefficients(a))
-    # [()] unwraps the 0-d result of a scalar a
-    return np.divide(cubic_root_l0(r), r, out=np.ones_like(r), where=r > 0)[()]
+    return _root_ratio(np.sqrt(_coefficients(a)))
 
 
 def _radial_step(v):
-    """u = (grad h)^{-1}(-v) = -(eta / ||v||) v, where eta^3 + eta = ||v||.
+    """u = (grad h)^{-1}(-v) = -t v, with t = cubic_root_l1(||v||^2).
 
-    The cubic is solved even for v = 0 (eta = 0, u = -v), so every prox call
-    makes exactly one cubic solve.
+    Also for v = 0 (t = 1), so every prox call makes exactly one cubic solve.
     """
-    nv = math.sqrt(v.dot(v))
-    eta = cubic_root_l0(nv)
-    return -(eta / nv if nv > 0 else 1.0) * v
+    return -cubic_root_l1(v.dot(v)) * v

@@ -14,9 +14,9 @@ thread race can only miss; the data arrays are read-only copies.
 Paired with the paper's kernel h(x) = 1/4 ||x||^4 + 1/2 ||x||^2, the Bregman
 proximal step has an explicit solution for both an l1 penalty and an l0-ball
 (sparsity) constraint, and both are the same map: threshold the vector p of
-:func:`p_lambda` to v = S(p) (soft) or H_s(p) (hard), then return
-(grad h)^{-1}(-v), the kernel's inverse gradient, which :mod:`bpg.kernels`
-gives in closed form.
+:func:`p_lambda` to v = S(p) (soft) or H_s(p) (hard), then return the
+kernel's inverse gradient (grad h)^{-1}(-v) = -t v, where t solves the
+paper's l1 cubic ||v||^2 t^3 + t = 1 (:func:`cubic_root_l1`, in closed form).
 
 The certified adaptability constant (source ``qip-gram``) is
 L* = max(3*lam, beta), lam = lambda_max(sum_i A_i^2), beta = ||sum_i b_i A_i||:
@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# cubic_root_l0 and cubic_root_l1 are re-exported: the benchmark's tracer
-# looks them up in this module
+# the cubics are re-exported: the benchmark's tracer looks them up here
 from .kernels import Kernel, _radial_step, cubic_root_l0, cubic_root_l1  # noqa: F401
 from .smad import QIP_GRAM, SmadCertificate, check_symmetric
 from .solver import Problem
@@ -278,8 +277,8 @@ def prox_l1(p, lam_theta):
 
         lam*theta*||u||_1 + <p, u> + 1/4 ||u||^4 + 1/2 ||u||^2
 
-    is (grad h)^{-1}(-S(p)) = -(eta / ||S(p)||) S(p), with S the soft
-    threshold at lam*theta and eta^3 + eta = ||S(p)||.
+    is (grad h)^{-1}(-S(p)) = -t S(p), with S the soft threshold at lam*theta
+    and t = cubic_root_l1(||S(p)||^2).
     """
     return _radial_step(soft_threshold(p, lam_theta))
 
@@ -288,8 +287,8 @@ def prox_l0(p, s):
     """Bregman proximal step for the l0-ball constraint under the quartic kernel.
 
     Globally minimizes <p, u> + 1/4 ||u||^4 + 1/2 ||u||^2 over ||u||_0 <= s.
-    The minimizer is (grad h)^{-1}(-H_s(p)) = -(eta / ||H_s(p)||) H_s(p),
-    with H_s the hard threshold and eta^3 + eta = ||H_s(p)||.
+    The minimizer is (grad h)^{-1}(-H_s(p)) = -t H_s(p), with H_s the hard
+    threshold and t = cubic_root_l1(||H_s(p)||^2).
     """
     p = np.asarray(p, dtype=float)
     if not 1 <= s < p.size:

@@ -207,12 +207,20 @@ def _check_lower_bound(problem, psi, name):
         )
 
 
-def _guard_iterate(x):
+def _norm(v):
+    """math.sqrt(v.dot(v)), rescaled by max |v_i| only where that overflows a finite v."""
     try:
-        n = math.sqrt(x.dot(x))  # NaN or inf if any entry is, inf if the square sum overflows
+        n = math.sqrt(v.dot(v))
     except RuntimeWarning:  # the overflow, where warnings are errors
         n = math.inf
-    if not n <= DIVERGENCE_NORM:
+    if n == math.inf:  # a NaN entry makes the norm NaN, an inf one inf
+        s = float(np.abs(v).max())
+        n = s * math.sqrt((v / s).dot(v / s)) if s < math.inf else s
+    return n
+
+
+def _guard_iterate(x):
+    if not (n := _norm(x)) <= DIVERGENCE_NORM:
         raise DivergenceError(f"iterate norm {n:.3e} is not finite or exceeds {DIVERGENCE_NORM:.0e}")
 
 
@@ -278,13 +286,13 @@ def run_bpg(problem, config):
     for k in range(1, config.max_iters + 1):
         step = bpg_step(problem, lam, x, psi, grad)
         w, dx = step.witness, step.x - x
-        wnorm = math.sqrt(w.dot(w))
-        step_norm = math.sqrt(dx.dot(dx))
+        wnorm = _norm(w)
+        step_norm = _norm(dx)
         trace.append(k, step.psi, step.dh, step_norm, wnorm, time.perf_counter() - t0)
         if iterates is not None:
             iterates.append(step.x.copy())
         x, psi, grad = step.x, step.psi, step.grad
-        if step_norm <= config.tol_step * (1.0 + math.sqrt(x.dot(x))):
+        if step_norm <= config.tol_step * (1.0 + _norm(x)):
             reason = STEP_TOLERANCE
             break
         if config.tol_residual is not None and wnorm <= config.tol_residual:

@@ -1,11 +1,12 @@
 import base64
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import overflowing_instance
+from conftest import overflowing_instance, random_dense_instance
 
 from bpg import (BpgConfig, DecreaseViolationError, DivergenceError, Kernel, L1, QipInstance,
                  make_problem, qip_value, run_bpg)
@@ -27,6 +28,11 @@ def b64(values):
 
 def unb64(text):
     return np.frombuffer(base64.b64decode(text), dtype="<f8")
+
+
+def reject(constant):
+    """``parse_constant`` for ``json.loads``: NaN and Infinity are not strict JSON."""
+    raise ValueError(f"non-standard JSON constant {constant}")
 
 
 def exit_code(argv):
@@ -264,9 +270,6 @@ class TestSolve:
         assert code == 0
 
         # no step, no witness: null, not the NaN that strict parsers reject
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
         for name in ("summary_000.json", "best.json"):
             report = json.loads((out / name).read_text(), parse_constant=reject)
             assert report["iterations"] == 0
@@ -341,6 +344,39 @@ class TestSolve:
         assert {"best.json", "trace_002.csv", "summary_002.json"} <= set(names)
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_non_empty_out_refused(self, instance_path, tmp_path, capsys):
+        # a rerun with fewer starts would leave the first run's later starts
+        # (and, if every start failed, its best.json) next to the new files
+        out = tmp_path / "run"
+        argv = ["solve", "--instance", str(instance_path), "--max-iters", "50", "--out", str(out)]
+        assert main([*argv, "--starts", "4"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main([*argv, "--starts", "2"]) == 2
+        assert f"error: --out directory {out} is not empty" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_empty_out_accepted(self, instance_path, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        assert main(["solve", "--instance", str(instance_path), "--max-iters", "50",
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "best.json", "summary_000.json", "trace_000.csv"]
+
+    def test_norms_past_the_float64_square_stay_finite(self, tmp_path):
+        # entries of about 1e150 certify a finite L* = 1.1e303, but the witness's
+        # square sum overflows; under this suite's error filter numpy's dot raises
+        path = tmp_path / "inst.json"
+        inst = random_dense_instance(np.random.default_rng(5), 16, 32, scale=1e150)
+        save_instance(instance_to_payload(inst), path)
+        out = tmp_path / "run"
+        assert main(["solve", "--instance", str(path), "--max-iters", "20",
+                     "--out", str(out)]) == 0
+        for name in ("summary_000.json", "best.json"):
+            report = json.loads((out / name).read_text(), parse_constant=reject)
+            assert 0 < report["final_witness_norm"] < math.inf
 
     def test_missing_instance(self, tmp_path, capsys):
         code = main(["solve", "--instance", str(tmp_path / "nope.json"),

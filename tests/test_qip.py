@@ -500,6 +500,18 @@ class TestCubics:
         assert np.all(np.diff(t) <= 0)
         eta = cubic_root_l0(a)
         assert np.all(np.diff(eta) >= 0)
+        # every magnitude, and steps of a few ulp near 3.8e7, where a closed form
+        # split into two regimes would join them
+        a = np.sort(np.concatenate([np.geomspace(1e-300, 1.7e308, 20001),
+                                    3.8e7 * (1.0 + np.arange(-2000, 2000) * 2.0 ** -50)]))
+        assert np.all(np.diff(cubic_root_l1(a)) <= 0)
+        assert np.all(np.diff(cubic_root_l0(a)) >= 0)
+
+    def test_l1_and_l0_forms_agree(self):
+        # t(a) * sqrt(a) is the root eta(sqrt(a)) of eta^3 + eta = sqrt(a)
+        a = np.geomspace(1e-300, 1.7e308, 20001)
+        eta = cubic_root_l0(np.sqrt(a))
+        assert np.max(np.abs(cubic_root_l1(a) * np.sqrt(a) - eta) / np.spacing(eta)) <= 4.0
 
     def test_non_finite_rejected(self):
         for solve in (cubic_root_l1, cubic_root_l0):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ from bpg import (
     p_lambda,
     run_bpg,
 )
+import bpg.kernels
 import bpg.qip
-from bpg.solver import DIVERGENCE_NORM, _guard_iterate
+from bpg.solver import DIVERGENCE_NORM, _guard_iterate, _norm
 
 
 def quadratic_problem(c):
@@ -180,6 +182,15 @@ class TestRunBpg:
         with pytest.raises(DivergenceError):
             run_bpg(prob, BpgConfig(x0=np.ones(2), lam=0.5, max_iters=5))
 
+    def test_norm_rescales_only_where_the_square_sum_overflows(self):
+        v = np.random.default_rng(58).standard_normal(8)
+        assert _norm(v) == math.sqrt(v.dot(v))
+        # under this suite's error filter the dot raises; the norm is still finite
+        assert _norm(1e200 * v) == pytest.approx(1e200 * linalg_norm(v), rel=1e-15)
+        assert _norm(np.array([np.inf, 1.0])) == math.inf
+        assert math.isnan(_norm(np.array([np.nan, 1e200])))
+        assert math.isnan(_norm(np.array([np.nan, np.inf])))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_psi_after_a_step_is_a_decrease_violation(self, bad):
         # Psi(x0) = 2; the step halves x, and g is `bad` left of x[0] = 1.5
@@ -246,12 +257,12 @@ class TestRunBpg:
         assert np.all(trace.witness_norm[1:] <= rho2 * trace.step_norm[1:] * (1.0 + 1e-9) + 1e-15)
 
     def test_call_budget(self, monkeypatch):
-        # per iteration at most 3 oracle calls (g or grad g) and 4 grad h
-        # calls; 2 oracle calls at the start
+        # per iteration at most 3 oracle calls (g or grad g), 4 grad h calls
+        # and 1 cubic solve (either form); 2 oracle calls at the start
         rng = np.random.default_rng(56)
         inst = random_dense_instance(rng, d=4, m=6, regularizer=L1(theta=0.1))
         prob = make_problem(inst, Kernel.quartic(4))
-        counts = {"oracle": 0, "grad_h": 0}
+        counts = {"oracle": 0, "grad_h": 0, "cubic": 0}
 
         def counted(fn, key):
             def wrapper(*args):
@@ -262,11 +273,14 @@ class TestRunBpg:
         monkeypatch.setattr(bpg.qip, "qip_value", counted(bpg.qip.qip_value, "oracle"))
         monkeypatch.setattr(bpg.qip, "qip_gradient", counted(bpg.qip.qip_gradient, "oracle"))
         monkeypatch.setattr(Kernel, "gradient", counted(Kernel.gradient, "grad_h"))
+        for name in ("cubic_root_l0", "cubic_root_l1"):
+            monkeypatch.setattr(bpg.kernels, name, counted(getattr(bpg.kernels, name), "cubic"))
         res = run_bpg(prob, BpgConfig(x0=rng.standard_normal(4), max_iters=20, tol_step=0.0))
         iters = res.iterations
         assert iters == 20
         assert 0 < counts["oracle"] <= 3 * iters + 2
         assert 0 < counts["grad_h"] <= 4 * iters
+        assert 0 < counts["cubic"] <= iters
 
     def test_trace_norms_match_linalg_norm(self):
         # rank-one d=8 l0: the phase-retrieval benchmark's shape
