@@ -12,16 +12,14 @@ Each verb is a function of the parsed arguments.  ``main`` is the one error
 boundary: a ``ValueError`` or ``OSError`` from any verb prints ``error: ...``
 and exits 2, and every verb checks its input before it writes anything.
 
-Starts run on a thread pool of ``min(starts, cpu_count)`` workers.  Trace
-CSVs hold no wall-clock column, so identical seeds produce byte-identical
-artifacts.
+Starts run one after another in the calling thread, and each start's files
+and line are written as it ends.  Trace CSVs hold no wall-clock column, so
+identical seeds produce byte-identical artifacts.
 """
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -122,19 +120,11 @@ def run_from_spec(args):
     ]
 
     out.mkdir(parents=True, exist_ok=True)
-
-    def one_start(config):
-        try:
-            return run_bpg(problem, config), None
-        except (DecreaseViolationError, DivergenceError) as exc:
-            return None, exc
-
-    with ThreadPoolExecutor(max_workers=min(args.starts, os.cpu_count() or 1)) as pool:
-        results = list(pool.map(one_start, configs))
-
     records = {}  # start index -> summary() plus the hex point, for finished starts
-    for idx, (result, err) in enumerate(results):
-        if err is not None:
+    for idx, config in enumerate(configs):
+        try:
+            result = run_bpg(problem, config)
+        except (DecreaseViolationError, DivergenceError) as err:
             _write_json(out / f"summary_{idx:03d}.json",
                         {"start": idx, "error": type(err).__name__, "message": str(err)})
             print(f"start {idx}: FAIL")
@@ -151,7 +141,7 @@ def run_from_spec(args):
         _write_json(out / "best.json",
                     {"best_start": idx, **records[idx], "lam": lam, "L": problem.smad.L})
         print(f"best: start {idx}, psi={psi:.6e}")
-    return EXIT_DIAGNOSTIC if len(records) < len(results) else EXIT_OK
+    return EXIT_DIAGNOSTIC if len(records) < len(configs) else EXIT_OK
 
 
 def _cmd_generate(args):

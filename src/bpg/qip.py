@@ -8,8 +8,9 @@ unpacks sum_i r_i A_i from one product of the residuals with the same stack.
 Rank-one instances A_i = a_i a_i^T use the m inner products a_i^T x.  The
 instance memoizes the residuals and gradient of its last point, keyed on the
 point's shape and bytes, so g(x+), grad g(x+) and the next step's grad g(x)
-take one residual pass.  The memo is one tuple set by one assignment, so a
-thread race can only miss; the data arrays are read-only copies.
+take one residual pass; the data arrays are read-only copies.  The memo is
+one tuple set by one assignment, so a library caller that shares an instance
+across its own threads can only miss it; bpg solve runs in one thread.
 
 Paired with the paper's kernel h(x) = 1/4 ||x||^4 + 1/2 ||x||^2, the Bregman
 proximal step has an explicit solution for both an l1 penalty and an l0-ball

@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -365,6 +366,29 @@ class TestSolve:
         assert sorted(p.name for p in out.iterdir()) == [
             "best.json", "summary_000.json", "trace_000.csv"]
 
+    def test_starts_run_in_order_in_the_calling_thread(self, instance_path, tmp_path,
+                                                       capsys, monkeypatch):
+        # each start runs in the caller's thread once the previous start's
+        # files are on disk, and its line is printed in start order
+        out = tmp_path / "run"
+        inst, _ = load_instance(instance_path)
+        x0s = [x0.tobytes() for x0 in draw_starts(inst.d, 3, 0, inst.regularizer)]
+        calls = []
+        real = cli.run_bpg
+
+        def run_bpg(problem, config):
+            i = x0s.index(config.x0.tobytes())
+            previous = [out / f"summary_{i - 1:03d}.json", out / f"trace_{i - 1:03d}.csv"]
+            calls.append((i, threading.get_ident(), i == 0 or all(p.exists() for p in previous)))
+            return real(problem, config)
+
+        monkeypatch.setattr(cli, "run_bpg", run_bpg)
+        assert main(["solve", "--instance", str(instance_path), "--starts", "3",
+                     "--max-iters", "50", "--out", str(out)]) == 0
+        assert calls == [(i, threading.get_ident(), True) for i in range(3)]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["start 0", "start 1", "start 2", "best"]
+
     def test_norms_past_the_float64_square_stay_finite(self, tmp_path):
         # entries of about 1e150 certify a finite L* = 1.1e303, but the witness's
         # square sum overflows; under this suite's error filter numpy's dot raises
@@ -451,7 +475,8 @@ class TestExitCodes:
         """Make ``run_bpg`` raise ``error`` on the starts numbered in ``failing``
         of a two-start solve at the default ``--seed 0``.
 
-        The starts run on a thread pool, so a start is known by its x0.
+        A start is known by its x0, so the check does not rely on the order
+        in which the starts run.
         """
         inst, _ = load_instance(instance_path)
         x0s = draw_starts(inst.d, 2, 0, inst.regularizer)

@@ -343,8 +343,10 @@ class TestOracleMemo:
         assert len(misses) == res.iterations + 1
 
     def test_threads_sharing_a_problem(self, kind):
-        # what the bpg solve thread pool does: one instance, several starts,
-        # here on more threads than cores, switching as often as possible
+        # bpg solve runs its starts one after another, but a library caller
+        # may share one instance across its own threads, and a memo race may
+        # only miss: here on more threads than cores, switching as often as
+        # possible, every run keeps the bits it has alone
         reg = L1(0.1) if kind == "dense" else L0Ball(2)
         prob = make_problem(memo_instance(kind, 69, reg), Kernel.quartic(5))
         rng = np.random.default_rng(70)
