@@ -13,8 +13,9 @@ boundary: a ``ValueError`` or ``OSError`` from any verb prints ``error: ...``
 and exits 2, and every verb checks its input before it writes anything.
 
 Starts run one after another in the calling thread, and each start's files
-and line are written as it ends.  Trace CSVs hold no wall-clock column, so
-identical seeds produce byte-identical artifacts.
+and line are written as it ends, so a solve cut short leaves those of the
+finished starts and no ``best.json``.  Trace CSVs hold no wall-clock column,
+so identical seeds produce byte-identical artifacts.
 """
 
 import argparse
