@@ -7,7 +7,7 @@ run's guarantees.
 
 import numpy as np
 
-from bpg import BpgConfig, Kernel, L1, make_problem, min_gap_bound, run_bpg
+from bpg import BpgConfig, L1, make_problem, min_gap_bound, run_bpg
 from bpg.cli import draw_starts
 from bpg.instances import generate_instance
 
@@ -15,7 +15,7 @@ from bpg.instances import generate_instance
 def main():
     _, inst, x_true = generate_instance(d=10, m=30, s_true=3, noise=0.01, seed=1,
                                         regularizer=L1(theta=0.1))
-    prob = make_problem(inst, Kernel.quartic(inst.d))
+    prob = make_problem(inst)
     print(f"instance: d={inst.d}, m={inst.m}, certified L={prob.smad.L:.3e}")
 
     res = None

@@ -7,14 +7,14 @@ signal (up to global sign) on every seed tried here.
 
 import numpy as np
 
-from bpg import BpgConfig, Kernel, make_problem, run_bpg
+from bpg import BpgConfig, make_problem, run_bpg
 from bpg.cli import draw_starts
 from bpg.instances import generate_instance
 
 
 def recover(seed):
     _, inst, x_true = generate_instance(d=8, m=16, s_true=2, noise=0.0, seed=seed)
-    prob = make_problem(inst, Kernel.quartic(inst.d))
+    prob = make_problem(inst)
     best_psi, best_x = np.inf, None
     for x0 in draw_starts(inst.d, 10, 1000 + seed, inst.regularizer):
         res = run_bpg(prob, BpgConfig(x0=x0, max_iters=12_000, tol_step=1e-9))

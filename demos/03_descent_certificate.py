@@ -14,7 +14,7 @@ tight in kind, not vacuous.
 
 import numpy as np
 
-from bpg import Kernel, check_descent_lemma, make_problem
+from bpg import check_descent_lemma, make_problem
 from bpg.instances import generate_instance
 
 
@@ -34,7 +34,7 @@ def audit(problem, L, n_pairs=20_000, radius=10.0, seed=0):
 def main():
     _, inst, _ = generate_instance(d=8, m=20, s_true=2, noise=0.1, seed=4,
                                    kind="dense-symmetric")
-    problem = make_problem(inst, Kernel.quartic(inst.d))
+    problem = make_problem(inst)
     cert = problem.smad
     print(f"certified constant L* = {cert.L:.4e} ({cert.source})")
 

@@ -8,12 +8,7 @@ maps (:mod:`bpg.qip`), and instance file handling (:mod:`bpg.instances`).
 """
 
 from .kernels import Kernel, cubic_root_l0, cubic_root_l1
-from .smad import (
-    DescentReport,
-    SmadCertificate,
-    check_descent_lemma,
-    spectral_norm,
-)
+from .smad import DescentReport, SmadCertificate, check_descent_lemma
 from .solver import (
     BpgConfig,
     DecreaseViolationError,
@@ -31,7 +26,6 @@ from .qip import (
     QipInstance,
     hard_threshold,
     make_problem,
-    p_lambda,
     prox_l0,
     prox_l1,
     qip_gradient,
@@ -43,12 +37,10 @@ from .instances import generate_instance, load_instance, save_instance
 __all__ = [
     "Kernel", "cubic_root_l0", "cubic_root_l1",
     "DescentReport", "SmadCertificate", "check_descent_lemma",
-    "spectral_norm",
     "BpgConfig", "DecreaseViolationError", "DivergenceError", "IterateTrace",
     "Problem", "SolveResult", "bpg_step", "min_gap_bound", "run_bpg",
     "L0Ball", "L1", "QipInstance", "hard_threshold", "make_problem",
-    "p_lambda", "prox_l0", "prox_l1", "qip_gradient", "qip_value",
-    "soft_threshold",
+    "prox_l0", "prox_l1", "qip_gradient", "qip_value", "soft_threshold",
     "generate_instance", "load_instance", "save_instance",
 ]
 

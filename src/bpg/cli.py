@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from . import instances
-from .kernels import Kernel
 from .qip import L0Ball, L1, hard_threshold, make_problem
 from .smad import check_descent_lemma
 from .solver import (
@@ -112,7 +111,7 @@ def run_from_spec(args):
     if reg is not None:
         inst = instances.QipInstance(b=inst.b, regularizer=reg, lower=inst.lower,
                                      factors=inst.factors)
-    problem = make_problem(inst, Kernel.quartic(inst.d))
+    problem = make_problem(inst)
     lam = resolve_step(args.lam, problem.smad.L)
     configs = [
         BpgConfig(x0=x0, lam=lam, max_iters=args.max_iters, tol_step=args.tol_step,
@@ -162,7 +161,7 @@ def _cmd_check(args):
     if not (np.isfinite(args.radius) and args.radius > 0):
         raise ValueError(f"--radius must be finite and positive, got {args.radius}")
     inst, _ = instances.load_instance(args.instance)
-    problem = make_problem(inst, Kernel.quartic(inst.d))
+    problem = make_problem(inst)
     rng = np.random.default_rng(args.seed)
     # uniform in the radius-R ball
     def ball(n):

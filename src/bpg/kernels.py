@@ -63,9 +63,8 @@ class Kernel:
         simplified formula, so identities such as linear additivity are
         exercised by the generic path.  Nonnegative; zero iff x == y.
         """
-        x = self._check(x)
-        y = self._check(y)
-        return self.value(x) - self.value(y) - np.add.reduce(self.gradient(y) * (x - y), axis=-1)
+        dh = self.value(x) - self.value(y)
+        return dh - np.add.reduce(self.gradient(y) * np.subtract(x, y), axis=-1)
 
 
 def _coefficients(c):

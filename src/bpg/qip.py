@@ -242,7 +242,6 @@ def p_lambda(inst, kernel, lam, x):
     """The prox driver vector p = lam * grad g(x) - grad h(x)."""
     if not lam > 0:
         raise ValueError(f"step size must be positive, got {lam}")
-    x = _check_point(inst, x)
     return lam * qip_gradient(inst, x) - kernel.gradient(x)
 
 
@@ -297,17 +296,16 @@ def prox_l0(p, s):
     return _radial_step(hard_threshold(p, s))
 
 
-def make_problem(inst, kernel):
+def make_problem(inst, kernel=None):
     """Bind a QIP instance and the quartic kernel into a solver-ready Problem.
 
-    ``kernel`` must be ``Kernel.quartic(inst.d)``, the paper's kernel: it is
-    the only pairing with a certificate for quadratic measurements.  The
-    adaptability constant is the instance's certified L* (source
-    ``qip-gram``, see :meth:`QipInstance.smad_certificate`).
+    It builds ``Kernel.quartic(inst.d)``, the paper's kernel and the only one
+    certified for quadratic measurements; a ``kernel`` passed in must be that
+    one.  L is the certified L* (source ``qip-gram``) of ``smad_certificate``.
     """
-    # kernel != Kernel.quartic(inst.d), without building a second Kernel:
-    # cold, that costs about 60 us, 7% of a d=8 load-and-certify set-up
-    if type(kernel) is not Kernel or kernel.dimension != inst.d:
+    if kernel is None:
+        kernel = Kernel.quartic(inst.d)
+    elif type(kernel) is not Kernel or kernel.dimension != inst.d:  # not Kernel.quartic(inst.d)
         raise ValueError(f"make_problem needs Kernel.quartic({inst.d}), the kernel "
                          f"1/4 ||x||^4 + 1/2 ||x||^2 on R^{inst.d} that L* certifies; "
                          f"got {kernel!r}")

@@ -18,6 +18,7 @@ import csv
 import math
 import numbers
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -205,6 +206,12 @@ def _check_lower_bound(problem, psi, name):
             f"{name}={psi:.6e} is NaN or below the declared lower bound {bound:.6e}; "
             f"the bound or the problem data is wrong"
         )
+
+
+# _norm rescales where v.dot(v) overflows a finite v, so numpy's warning about
+# it is noise.  Appended, so a -W or pytest "error" filter still wins.
+warnings.filterwarnings("ignore", "overflow encountered in dot", RuntimeWarning,
+                        __name__, append=True)
 
 
 def _norm(v):

@@ -1,8 +1,12 @@
 import base64
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,6 +405,19 @@ class TestSolve:
         for name in ("summary_000.json", "best.json"):
             report = json.loads((out / name).read_text(), parse_constant=reject)
             assert 0 < report["final_witness_norm"] < math.inf
+
+    def test_norm_overflow_prints_no_warning(self, tmp_path):
+        # the same solve in an interpreter with no warning filter of its own
+        path = tmp_path / "inst.json"
+        inst = random_dense_instance(np.random.default_rng(5), 16, 32, scale=1e150)
+        save_instance(instance_to_payload(inst), path)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-m", "bpg.cli", "solve", "--instance", str(path),
+                               "--max-iters", "20", "--out", str(tmp_path / "run")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_missing_instance(self, tmp_path, capsys):
         code = main(["solve", "--instance", str(tmp_path / "nope.json"),

@@ -119,6 +119,15 @@ class TestBregman:
         single = [k.bregman(x, y) for x, y in zip(xs, ys)]
         assert_same_bits(batched, single)
 
+    def test_lists_and_bad_dimensions(self):
+        # value and gradient check each point; bregman leaves it to them
+        k = Kernel.quartic(2)
+        assert_same_bits(k.bregman([1, -2], [0.5, 3]), k.bregman(np.array([1.0, -2.0]),
+                                                                  np.array([0.5, 3.0])))
+        for x, y in [(np.ones(3), np.ones(2)), (np.ones(2), np.ones(3))]:
+            with pytest.raises(ValueError, match=r"trailing dimension \(3,\), kernel expects \(2,\)"):
+                k.bregman(x, y)
+
 
 @pytest.mark.parametrize("make", [Kernel.quartic])
 @pytest.mark.parametrize("d", [3, 8, 64])

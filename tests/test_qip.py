@@ -30,7 +30,6 @@ from bpg import (
     cubic_root_l1,
     hard_threshold,
     make_problem,
-    p_lambda,
     prox_l0,
     prox_l1,
     qip_gradient,
@@ -38,6 +37,7 @@ from bpg import (
     run_bpg,
     soft_threshold,
 )
+from bpg.qip import p_lambda
 
 
 def triple_loop_value(inst, x):
@@ -403,6 +403,16 @@ class TestPLambda:
         with pytest.raises(ValueError):
             p_lambda(inst, Kernel.quartic(2), 0.0, np.zeros(2))
 
+    def test_bad_dimension_rejected(self):
+        inst = QipInstance(b=[0.0], regularizer=L1(0.1), matrices=[np.eye(2)])
+        with pytest.raises(ValueError, match=r"trailing dimension \(3,\), instance expects \(2,\)"):
+            p_lambda(inst, Kernel.quartic(2), 1.0, [1.0, 0.0, 0.0])
+
+    def test_not_exported_from_the_package(self):
+        # p_lambda and smad.spectral_norm stay where the benchmark's tracer finds them
+        assert not hasattr(bpg, "p_lambda") and not hasattr(bpg, "spectral_norm")
+        assert callable(bpg.qip.p_lambda) and callable(bpg.smad.spectral_norm)
+
 
 class TestThresholds:
     def test_soft_basic(self):
@@ -653,6 +663,24 @@ class TestMakeProblem:
         prob = make_problem(inst, Kernel.quartic(4))
         out = prob.prox_map(rng.standard_normal(4), 0.5 / prob.smad.L)
         assert np.count_nonzero(out) <= 3
+
+    @pytest.mark.parametrize("kind", ["rank-one", "dense"])
+    def test_builds_the_quartic_kernel(self, kind):
+        rng = np.random.default_rng(41)
+        if kind == "rank-one":
+            inst = QipInstance(b=rng.standard_normal(8), regularizer=L0Ball(s=2),
+                               factors=rng.standard_normal((8, 5)))
+        else:
+            inst = random_dense_instance(rng, d=5, m=8)
+        built, passed = make_problem(inst), make_problem(inst, Kernel.quartic(5))
+        assert built.kernel == passed.kernel == Kernel.quartic(5)
+        assert built.smad == passed.smad
+        config = BpgConfig(x0=hard_threshold(rng.standard_normal(5), 2),
+                           lam=0.9 / built.smad.L, max_iters=50, tol_step=0.0)
+        ours, theirs = run_bpg(built, config).trace, run_bpg(passed, config).trace
+        assert len(ours) == 51
+        for name in ours.COLUMNS[:-1]:  # all but the wall clock
+            assert ours.column(name).tobytes() == theirs.column(name).tobytes()
 
     def test_energy_kernel_requires_override(self):
         rng = np.random.default_rng(37)

@@ -16,8 +16,8 @@ from bpg import (
     qip_value,
     qip_gradient,
     smad,
-    spectral_norm,
 )
+from bpg.smad import spectral_norm
 
 
 class TestSpectralNorm:

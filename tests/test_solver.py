@@ -21,7 +21,6 @@ from bpg import (
     bpg_step,
     make_problem,
     min_gap_bound,
-    p_lambda,
     run_bpg,
 )
 import bpg.kernels
