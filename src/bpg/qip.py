@@ -7,16 +7,16 @@ lower triangle, and evaluate g from one BLAS matrix-vector product of the
 unpacks sum_i r_i A_i from one product of the residuals with the same stack.
 Rank-one instances A_i = a_i a_i^T use the m inner products a_i^T x.  The
 instance memoizes the residuals and gradient of its last point, keyed on the
-point's shape and bytes, so g(x+), grad g(x+) and the next step's grad g(x)
-take one residual pass; the data arrays are read-only copies.  The memo is
-one tuple set by one assignment, so a library caller that shares an instance
-across its own threads can only miss it; bpg solve runs in one thread.
+point's shape and bytes, so g(x+) and grad g(x+) share one residual pass;
+the data arrays are read-only copies.  The memo is one tuple set by one
+assignment, so a library caller that shares an instance across its own
+threads can only miss it; bpg solve runs in one thread.
 
 Paired with the paper's kernel h(x) = 1/4 ||x||^4 + 1/2 ||x||^2, the Bregman
 proximal step has an explicit solution for both an l1 penalty and an l0-ball
-(sparsity) constraint, and both are the same map: threshold the vector p of
-:func:`p_lambda` to v = S(p) (soft) or H_s(p) (hard), then return the
-kernel's inverse gradient (grad h)^{-1}(-v) = -t v, where t solves the
+(sparsity) constraint, and both are the same map: threshold the solver's
+vector p = lam * grad g(x) - grad h(x) (:func:`p_lambda`) to v = S(p) (soft)
+or H_s(p) (hard), then return (grad h)^{-1}(-v) = -t v, where t solves the
 paper's l1 cubic ||v||^2 t^3 + t = 1 (:func:`cubic_root_l1`, in closed form).
 
 The certified adaptability constant (source ``qip-gram``) is
@@ -239,7 +239,7 @@ def qip_gradient(inst, x):
 
 
 def p_lambda(inst, kernel, lam, x):
-    """The prox driver vector p = lam * grad g(x) - grad h(x)."""
+    """The prox input p = lam * grad g(x) - grad h(x) from x; the solver forms p itself."""
     if not lam > 0:
         raise ValueError(f"step size must be positive, got {lam}")
     return lam * qip_gradient(inst, x) - kernel.gradient(x)
@@ -309,12 +309,11 @@ def make_problem(inst, kernel=None):
         raise ValueError(f"make_problem needs Kernel.quartic({inst.d}), the kernel "
                          f"1/4 ||x||^4 + 1/2 ||x||^2 on R^{inst.d} that L* certifies; "
                          f"got {kernel!r}")
-    reg = inst.regularizer
     return Problem(
         g_value=lambda x: qip_value(inst, x),
         g_gradient=lambda x: qip_gradient(inst, x),
-        prox_map=lambda x, lam: reg.prox(p_lambda(inst, kernel, lam, x), lam),
-        f_value=reg.value,
+        prox_map=inst.regularizer.prox,
+        f_value=inst.regularizer.value,
         kernel=kernel,
         smad=inst.smad_certificate(),
         psi_lower_bound=0.0,

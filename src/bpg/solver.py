@@ -1,17 +1,17 @@
 """Bregman proximal gradient iteration engine with guarantee monitoring.
 
-:func:`bpg_step` takes one step x+ = prox_map(x, lam), with a constant step
-0 < lam * L < 1, and :func:`run_bpg` iterates it.  Every step is checked
-against the sufficient-decrease inequality
+:func:`bpg_step` takes one step x+ = prox_map(lam * grad g(x) - grad h(x), lam)
+with a constant step 0 < lam * L < 1, and :func:`run_bpg` iterates it.  Every
+step is checked against the sufficient-decrease inequality
 
     lam * Psi(x+) <= lam * Psi(x) - (1 - lam*L) * D_h(x+, x),
 
 a violation of which signals a wrong adaptability constant, a wrong prox map,
 or numerical breakdown, and aborts the run.  A step returns a :class:`Step`
-record (x+, Psi(x+), grad g(x+), D_h(x+, x), witness), where the witness
-w = grad g(x+) - grad g(x) + (grad h(x) - grad h(x+)) / lam is an explicit
-subgradient of Psi at x+.  The per-iteration trace records Psi, the Bregman
-gap, the step norm and the witness norm (the stationarity residual).
+record (x+, Psi(x+), grad g(x+), D_h(x+, x), witness, grad h(x+)), where the
+witness w = grad g(x+) - grad g(x) + (grad h(x) - grad h(x+)) / lam is an
+explicit subgradient of Psi at x+; the next step reuses both gradients.  The
+trace records Psi, the Bregman gap, the step norm and the witness norm.
 """
 
 import csv
@@ -44,10 +44,10 @@ class DivergenceError(RuntimeError):
 class Problem:
     """A composite instance: smooth part, prox map, nonsmooth value, geometry.
 
-    ``prox_map(x, lam)`` must return one (deterministic) selection of the
-    Bregman proximal gradient map, finite-valued and feasible, i.e.
-    ``f_value`` is finite at its output.  ``psi_lower_bound`` is a known lower
-    bound on the optimal value, used in the summability/min-gap bounds.
+    ``prox_map(p, lam)`` takes the vector p = lam * grad g(x) - grad h(x) and
+    returns one (deterministic) minimizer of lam * f(u) + <p, u> + h(u), the
+    step T_lam(x), finite and feasible (``f_value`` is finite there).
+    ``psi_lower_bound`` is a known lower bound on Psi, for the min-gap bounds.
     """
 
     g_value: Callable
@@ -124,25 +124,11 @@ class IterateTrace:
         i = self.COLUMNS.index(name)
         return np.array([row[i] for row in self._rows])
 
-    @property
-    def psi(self):
-        return self.column("psi")
-
-    @property
-    def dh_gap(self):
-        return self.column("dh_gap")
-
-    @property
-    def step_norm(self):
-        return self.column("step_norm")
-
-    @property
-    def witness_norm(self):
-        return self.column("witness_norm")
-
-    @property
-    def elapsed_s(self):
-        return self.column("elapsed_s")
+    psi = property(lambda self: self.column("psi"))
+    dh_gap = property(lambda self: self.column("dh_gap"))
+    step_norm = property(lambda self: self.column("step_norm"))
+    witness_norm = property(lambda self: self.column("witness_norm"))
+    elapsed_s = property(lambda self: self.column("elapsed_s"))
 
     def to_csv(self, path):
         """Write every column but the wall clock as CSV.
@@ -239,17 +225,18 @@ class Step(NamedTuple):
     grad: np.ndarray
     dh: float
     witness: np.ndarray
+    grad_h: np.ndarray
 
 
-def bpg_step(problem, lam, x, psi=None, grad=None):
+def bpg_step(problem, lam, x, psi=None, grad=None, grad_h=None):
     """One Bregman proximal gradient step from x, with its guarantees enforced.
 
-    Pass ``psi`` = Psi(x) and ``grad`` = grad g(x) when they are at hand (the
-    previous Step's fields); otherwise they are computed.  Raises ValueError
-    unless 0 < lam*L < 1 and Psi(x+) respects ``problem.psi_lower_bound``;
-    x is checked to be finite only when ``psi`` is not passed.  A NaN Psi, or
-    an infinite Psi(x+) after a finite Psi(x), fails the decrease check; only
-    an infeasible x (Psi(x) = +inf) makes that check vacuous.
+    Pass ``psi``, ``grad`` and ``grad_h`` (Psi, grad g and grad h at x: the
+    previous Step's fields) when at hand; otherwise they are computed.  Raises
+    ValueError unless 0 < lam*L < 1 and Psi(x+) respects the lower bound; x
+    is checked to be finite only when ``psi`` is not passed.  A NaN Psi, or an
+    infinite Psi(x+) after a finite Psi(x), fails the decrease check; only an
+    infeasible x (Psi(x) = +inf) makes that check vacuous.
     """
     L = problem.smad.L
     lam = resolve_step(lam, L)
@@ -260,15 +247,18 @@ def bpg_step(problem, lam, x, psi=None, grad=None):
         psi = problem.psi(x)
     if grad is None:
         grad = np.asarray(problem.g_gradient(x), dtype=float)
-    x_new = np.asarray(problem.prox_map(x, lam), dtype=float)
+    if grad_h is None:
+        grad_h = problem.kernel.gradient(x)
+    x_new = np.asarray(problem.prox_map(lam * grad - grad_h, lam), dtype=float)
     _guard_iterate(x_new)
     psi_new = problem.psi(x_new)
     dh = float(problem.kernel.bregman(x_new, x))
     _check_decrease(lam, L, psi, psi_new, dh)
     _check_lower_bound(problem, psi_new, "Psi(x+)")
     grad_new = np.asarray(problem.g_gradient(x_new), dtype=float)
-    w = grad_new - grad + (problem.kernel.gradient(x) - problem.kernel.gradient(x_new)) / lam
-    return Step(x_new, psi_new, grad_new, dh, w)
+    grad_h_new = problem.kernel.gradient(x_new)
+    w = grad_new - grad + (grad_h - grad_h_new) / lam
+    return Step(x_new, psi_new, grad_new, dh, w, grad_h_new)
 
 
 def run_bpg(problem, config):
@@ -282,7 +272,7 @@ def run_bpg(problem, config):
     x = config.x0.copy()
     psi = problem.psi(x)
     _check_lower_bound(problem, psi, "Psi(x0)")
-    grad = np.asarray(problem.g_gradient(x), dtype=float)
+    grad = grad_h = None  # the first step computes both
 
     trace = IterateTrace()
     trace.append(0, psi, 0.0, 0.0, math.nan, 0.0)
@@ -291,14 +281,12 @@ def run_bpg(problem, config):
     reason = MAX_ITERS
 
     for k in range(1, config.max_iters + 1):
-        step = bpg_step(problem, lam, x, psi, grad)
-        w, dx = step.witness, step.x - x
-        wnorm = _norm(w)
-        step_norm = _norm(dx)
+        step = bpg_step(problem, lam, x, psi, grad, grad_h)
+        wnorm, step_norm = _norm(step.witness), _norm(step.x - x)
         trace.append(k, step.psi, step.dh, step_norm, wnorm, time.perf_counter() - t0)
         if iterates is not None:
             iterates.append(step.x.copy())
-        x, psi, grad = step.x, step.psi, step.grad
+        x, psi, grad, grad_h = step.x, step.psi, step.grad, step.grad_h
         if step_norm <= config.tol_step * (1.0 + _norm(x)):
             reason = STEP_TOLERANCE
             break

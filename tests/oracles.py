@@ -5,15 +5,22 @@ quadratic-measurement oracle contracts the full (m, d, d) stack with einsum,
 spectral norms come from a dense eigendecomposition, adaptability constants from sums over
 the measurement matrices rather than a Gram product, scalar roots from plain
 bisection, and prox maps from grid refinement / support enumeration on the
-defining objectives.  The kernel forms below are the exception: they are
-written with numpy's ``np.sum`` and ``np.linalg.norm`` wrappers, and the
-library's per-iteration code, which calls the ufuncs directly, must match
-them bit for bit.
+defining objectives.  The kernel value and gradient and the vector norm are
+the exception: they are written with numpy's ``np.sum`` and
+``np.linalg.norm`` wrappers, and the library's per-iteration code, which
+calls the ufuncs directly, must match them bit for bit; D_h is compared with
+exact rational arithmetic instead.  The reference loop is the other
+exception: it takes the library's own prox and its formula for the prox
+input p, and forms p afresh from each iterate.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+
+from bpg import Kernel
+from bpg.qip import p_lambda
 
 
 def einsum_qip_value(matrices, b, x):
@@ -72,10 +79,21 @@ def sum_kernel_gradient(x):
     return (np.sum(x * x, axis=-1, keepdims=True) + 1.0) * x
 
 
-def sum_kernel_bregman(x, y):
-    """D_h(x, y) = h(x) - h(y) - <grad h(y), x - y> along the last axis."""
-    return (sum_kernel_value(x) - sum_kernel_value(y)
-            - np.sum(sum_kernel_gradient(y) * (x - y), axis=-1))
+def fraction_kernel_bregman(x, y):
+    """D_h(x, y) = h(x) - h(y) - <grad h(y), x - y> of two vectors, exactly, as a Fraction."""
+    x, y = [Fraction(float(v)) for v in x], [Fraction(float(v)) for v in y]
+    sx, sy = sum(v * v for v in x), sum(v * v for v in y)
+    inner = sum(a * (b - a) for a, b in zip(y, x))
+    return (sx * sx - sy * sy) / 4 + (sx - sy) / 2 - (sy + 1) * inner
+
+
+def p_lambda_iterates(inst, lam, x0, steps):
+    """x_{k+1} = reg.prox(p_lambda(inst, h, lam, x_k), lam), with p formed afresh from x_k."""
+    kernel, prox = Kernel.quartic(inst.d), inst.regularizer.prox
+    xs = [np.asarray(x0, dtype=float)]
+    for _ in range(steps):
+        xs.append(prox(p_lambda(inst, kernel, lam, xs[-1]), lam))
+    return np.array(xs)
 
 
 class EnergyKernel:

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from oracles import EnergyKernel, sum_kernel_bregman, sum_kernel_gradient, sum_kernel_value
+from oracles import EnergyKernel, fraction_kernel_bregman, sum_kernel_gradient, sum_kernel_value
 
 from bpg import Kernel
 from bpg.kernels import _radial_step
@@ -14,6 +16,13 @@ def assert_same_bits(a, b):
 
 def bregman_from_definition(value, gradient, x, y):
     return value(x) - value(y) - np.dot(gradient(y), x - y)
+
+
+def assert_within_ulps(values, x, y, ulps=4):
+    """Each D_h value is within ``ulps`` relative ulp of the exact D_h(x, y)."""
+    for v, xi, yi in zip(np.atleast_1d(values), np.atleast_2d(x), np.atleast_2d(y)):
+        exact = fraction_kernel_bregman(xi, yi)
+        assert abs(Fraction(float(v)) - exact) <= ulps * Fraction(np.finfo(float).eps) * exact
 
 
 class TestValues:
@@ -77,7 +86,7 @@ class TestBregman:
                 x, y = rng.standard_normal(d), 3.0 * rng.standard_normal(d)
                 dh = k.bregman(x, y)
                 assert dh >= 0.5 * np.sum((x - y) ** 2) - 1e-12 * (1 + abs(dh))
-                assert dh >= -1e-12
+                assert dh >= 0
 
     def test_zero_only_at_equal_points(self):
         k = Kernel.quartic(3)
@@ -85,6 +94,29 @@ class TestBregman:
         x = rng.standard_normal(3)
         y = x + 1e-3
         assert k.bregman(x, y) > 0
+
+    def test_short_step_far_from_origin(self):
+        # the definition form h(x) - h(y) - <grad h(y), x - y> cancels here
+        # and reads 6.3e-9; the exact value is 5.0e-14
+        k = Kernel.quartic(8)
+        y = 100.0 * np.ones(8)
+        x = y.copy()
+        x[0] += 1e-9
+        assert_within_ulps(k.bregman(x, y), x, y)
+
+    def test_short_steps_within_ulps_of_exact(self):
+        # ||y|| from 1e-3 to 1e3, ||x - y|| / ||y|| from 1e-12 to 1
+        rng = np.random.default_rng(7)
+        ys = rng.standard_normal((200, 8))
+        ys *= np.geomspace(1e-3, 1e3, 200)[:, None] / np.linalg.norm(ys, axis=1, keepdims=True)
+        steps = rng.standard_normal((200, 8))
+        steps *= (rng.permutation(np.geomspace(1e-12, 1.0, 200))[:, None]
+                  * np.linalg.norm(ys, axis=1, keepdims=True)
+                  / np.linalg.norm(steps, axis=1, keepdims=True))
+        xs = ys + steps
+        dh = Kernel.quartic(8).bregman(xs, ys)
+        assert np.all(dh > 0)
+        assert_within_ulps(dh, xs, ys)
 
     @pytest.mark.parametrize("make", [Kernel.quartic])
     def test_three_point_identity(self, make):
@@ -120,7 +152,7 @@ class TestBregman:
         assert_same_bits(batched, single)
 
     def test_lists_and_bad_dimensions(self):
-        # value and gradient check each point; bregman leaves it to them
+        # each method checks each point
         k = Kernel.quartic(2)
         assert_same_bits(k.bregman([1, -2], [0.5, 3]), k.bregman(np.array([1.0, -2.0]),
                                                                   np.array([0.5, 3.0])))
@@ -141,7 +173,7 @@ def test_matches_np_sum_forms_bit_for_bit(make, d):
     for x, y in [*zip(xs, ys), (xs, ys)]:
         assert_same_bits(k.value(x), sum_kernel_value(x))
         assert_same_bits(k.gradient(x), sum_kernel_gradient(x))
-        assert_same_bits(k.bregman(x, y), sum_kernel_bregman(x, y))
+        assert_within_ulps(k.bregman(x, y), x, y)
 
 
 def test_kernel_is_immutable():

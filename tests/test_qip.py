@@ -652,16 +652,18 @@ class TestMakeProblem:
         prob = make_problem(inst, k)
         lam = 0.9 / prob.smad.L
         x = rng.standard_normal(2)
-        out = prob.prox_map(x, lam)
         p = p_lambda(inst, k, lam, x)
+        out = prob.prox_map(p, lam)
         oracle = grid_prox_l1(p, lam * 0.1)
         assert np.linalg.norm(out - oracle) <= 1e-3
 
     def test_l0_near_full_support_runs(self):
         rng = np.random.default_rng(36)
         inst = random_dense_instance(rng, d=4, m=5, regularizer=L0Ball(s=3))
-        prob = make_problem(inst, Kernel.quartic(4))
-        out = prob.prox_map(rng.standard_normal(4), 0.5 / prob.smad.L)
+        k = Kernel.quartic(4)
+        prob = make_problem(inst, k)
+        lam = 0.5 / prob.smad.L
+        out = prob.prox_map(p_lambda(inst, k, lam, rng.standard_normal(4)), lam)
         assert np.count_nonzero(out) <= 3
 
     @pytest.mark.parametrize("kind", ["rank-one", "dense"])

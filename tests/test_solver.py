@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dense_instance, random_regularizer
-from oracles import EnergyKernel, grid_minimize, linalg_norm
+from oracles import EnergyKernel, grid_minimize, linalg_norm, p_lambda_iterates
 
 from bpg import (
     BpgConfig,
@@ -29,12 +29,15 @@ from bpg.solver import DIVERGENCE_NORM, _guard_iterate, _norm
 
 
 def quadratic_problem(c):
-    """f == 0, g = ||x - c||^2 / 2 with the energy kernel; prox is a gradient step."""
+    """f == 0, g = ||x - c||^2 / 2 with the energy kernel; prox is a gradient step.
+
+    Its prox input is p = lam (x - c) - x, so -p = x - lam (x - c).
+    """
     c = np.asarray(c, dtype=float)
     return Problem(
         g_value=lambda x: 0.5 * np.sum((x - c) ** 2, axis=-1),
         g_gradient=lambda x: x - c,
-        prox_map=lambda x, lam: x - lam * (x - c),
+        prox_map=lambda p, lam: -p,
         f_value=lambda x: 0.0,
         kernel=EnergyKernel(),
         smad=SmadCertificate(L=1.0, source="D_g = D_h"),
@@ -109,6 +112,19 @@ class TestBpgStep:
         with pytest.raises(ValueError, match=r"lam\*L"):
             bpg_step(prob, 1.5, np.array([2.0, 0.0]))
 
+    def test_held_gradients_give_the_same_step(self):
+        rng = np.random.default_rng(59)
+        inst = random_dense_instance(rng, d=5, m=8, regularizer=L1(theta=0.1))
+        prob = make_problem(inst)
+        lam, x = 0.9 / prob.smad.L, rng.standard_normal(5)
+        alone = bpg_step(prob, lam, x)
+        held = bpg_step(prob, lam, x, prob.psi(x), prob.g_gradient(x),
+                        grad_h=prob.kernel.gradient(x))
+        assert alone._fields == held._fields
+        for a, b in zip(alone, held):
+            a, b = np.asarray(a), np.asarray(b)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
     def test_lower_bound_enforced(self):
         # Psi(x+) = 0.5 is below the declared bound 1.0
         prob = quadratic_problem([0.0, 0.0])
@@ -162,7 +178,7 @@ class TestRunBpg:
         prob = Problem(
             g_value=lambda x: -np.sum(x * x, axis=-1),
             g_gradient=lambda x: -2.0 * x,
-            prox_map=lambda x, lam: 2.0 * x,
+            prox_map=lambda p, lam: -p,  # p = -2x at lam = 0.5: x+ = 2x
             f_value=lambda x: 0.0,
             kernel=EnergyKernel(),
             smad=SmadCertificate(L=1.0, source="test"),
@@ -202,7 +218,7 @@ class TestRunBpg:
     def test_nan_psi_at_start_rejected(self):
         prob = quadratic_problem([0.0, 0.0])
         prob.g_value = lambda x: np.nan
-        prob.prox_map = lambda x, lam: 2.0 * x
+        prob.prox_map = lambda p, lam: -4.0 * p  # p = -x/2 at lam = 0.5: x+ = 2x
         x0 = np.array([1.0, 0.0])
         with pytest.raises(ValueError, match=r"Psi\(x0\)=nan is NaN or below"):
             run_bpg(prob, BpgConfig(x0=x0, lam=0.5, max_iters=5))
@@ -256,8 +272,9 @@ class TestRunBpg:
         assert np.all(trace.witness_norm[1:] <= rho2 * trace.step_norm[1:] * (1.0 + 1e-9) + 1e-15)
 
     def test_call_budget(self, monkeypatch):
-        # per iteration at most 3 oracle calls (g or grad g), 4 grad h calls
-        # and 1 cubic solve (either form); 2 oracle calls at the start
+        # per iteration at most 2 oracle calls (g and grad g at x+), 1 grad h
+        # call and 1 cubic solve (either form); at the start, 2 oracle calls
+        # and 1 grad h call
         rng = np.random.default_rng(56)
         inst = random_dense_instance(rng, d=4, m=6, regularizer=L1(theta=0.1))
         prob = make_problem(inst, Kernel.quartic(4))
@@ -277,9 +294,28 @@ class TestRunBpg:
         res = run_bpg(prob, BpgConfig(x0=rng.standard_normal(4), max_iters=20, tol_step=0.0))
         iters = res.iterations
         assert iters == 20
-        assert 0 < counts["oracle"] <= 3 * iters + 2
-        assert 0 < counts["grad_h"] <= 4 * iters
+        assert 0 < counts["oracle"] <= 2 * iters + 2
+        assert 0 < counts["grad_h"] <= iters + 1
         assert 0 < counts["cubic"] <= iters
+
+    @pytest.mark.parametrize("kind", ["rank-one-l0", "dense-l1"])
+    def test_iterates_match_reference_loop(self, kind):
+        # the loop forms each prox input p from held gradients; the reference
+        # forms it afresh from x_k through p_lambda, and must get the same bits
+        rng = np.random.default_rng(60)
+        if kind == "rank-one-l0":
+            factors = rng.standard_normal((16, 8))
+            inst = QipInstance(b=(factors[:, :2] @ rng.standard_normal(2)) ** 2,
+                               regularizer=L0Ball(2), factors=factors)
+        else:
+            inst = random_dense_instance(rng, d=8, m=16, regularizer=L1(theta=0.1))
+        prob = make_problem(inst)
+        lam, x0 = 0.99 / prob.smad.L, rng.standard_normal(inst.d)
+        res = run_bpg(prob, BpgConfig(x0=x0, lam=lam, max_iters=200, tol_step=0.0,
+                                      keep_iterates=True))
+        assert res.iterations == 200
+        ref = p_lambda_iterates(inst, lam, x0, 200)
+        assert res.iterates.tobytes() == ref.tobytes()
 
     def test_trace_norms_match_linalg_norm(self):
         # rank-one d=8 l0: the phase-retrieval benchmark's shape
