@@ -26,15 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import instances
-from .qip import L0Ball, L1, hard_threshold, make_problem
+from .qip import L0Ball, L1, hard_threshold, make_problem, qip_gradient, qip_value
 from .smad import check_descent_lemma
-from .solver import (
-    BpgConfig,
-    DecreaseViolationError,
-    DivergenceError,
-    resolve_step,
-    run_bpg,
-)
+from .solver import BpgConfig, DecreaseViolationError, DivergenceError, resolve_step, run_bpg
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -170,8 +164,9 @@ def _cmd_check(args):
         r = args.radius * rng.random(n) ** (1.0 / inst.d)
         return u * r[:, None]
 
-    report = check_descent_lemma(problem.g_value, problem.g_gradient, problem.kernel,
-                                 problem.smad.L, ball(args.samples), ball(args.samples))
+    # g and grad g apart: views of the fused oracle would also take a gradient at x
+    report = check_descent_lemma(lambda x: qip_value(inst, x), lambda x: qip_gradient(inst, x),
+                                 problem.kernel, problem.smad.L, ball(args.samples), ball(args.samples))
     status = "PASS" if report.passed else "FAIL"
     print(f"{status}: L={problem.smad.L:.6e}, samples={args.samples}, radius={args.radius}, "
           f"violations={report.n_violations}, worst margin={report.worst_margin:.3e}")

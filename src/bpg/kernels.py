@@ -1,6 +1,7 @@
 """The paper's kernel h(x) = 1/4 ||x||^4 + 1/2 ||x||^2 and its inverse gradient.
 
-:class:`Kernel` gives h, grad h and D_h (in closed form).  Its gradient
+:class:`Kernel` gives h, grad h and D_h (in closed form); ``step_terms``
+gives a solver step grad h, ||x||^2 and D_h in one call.  Its gradient
 grad h(x) = (||x||^2 + 1) x is radial, so (grad h)^{-1}(-v) = -t v, where t
 solves the paper's l1 cubic ||v||^2 t^3 + t = 1.  ``_radial_step`` takes that
 step with one :func:`cubic_root_l1` call, and both prox maps of
@@ -47,14 +48,13 @@ class Kernel:
     def value(self, x):
         """h(x); scalar for a single point, 1-d array for a batch."""
         x = self._check(x)
-        sq = np.add.reduce(x * x, axis=-1)
+        sq = np.add.reduce(x * x, -1)
         return 0.25 * sq * sq + 0.5 * sq
 
     def gradient(self, x):
         """Analytic gradient (||x||^2 + 1) x, same shape as ``x``."""
         x = self._check(x)
-        sq = np.add.reduce(x * x, axis=-1, keepdims=True)
-        return (sq + 1.0) * x
+        return (np.add.reduce(x * x, -1)[..., None] + 1.0) * x
 
     def bregman(self, x, y):
         """D_h(x, y) = h(x) - h(y) - <grad h(y), x - y>, in closed form.
@@ -64,10 +64,23 @@ class Kernel:
         so it is >= 0 in floating point, zero iff x == y, and within a few ulp.
         """
         y = self._check(y)
-        u = self._check(x) - y
-        uu = np.add.reduce(u * u, axis=-1)
-        cross = 2.0 * np.add.reduce(y * u, axis=-1) + uu
-        return 0.5 * uu * (1.0 + np.add.reduce(y * y, axis=-1)) + 0.25 * cross * cross
+        return _gap(self._check(x) - y, y, np.add.reduce(y * y, -1))
+
+    def step_terms(self, x, y, u, yy):
+        """(grad h(x), ||x||^2, D_h(x, y)) for a step u = x - y from y, given ||y||^2.
+
+        The solver's one kernel call per point, unchecked (a start passes
+        y = x, u = 0); each term has the bits of ``gradient`` and ``bregman``.
+        """
+        xx = np.add.reduce(x * x, -1)
+        return (xx + 1.0) * x, xx, _gap(u, y, yy)
+
+
+def _gap(u, y, yy):
+    """D_h(y + u, y) in ``bregman``'s closed form, given ||y||^2 = yy."""
+    uu = np.add.reduce(u * u, -1)
+    cross = 2.0 * np.add.reduce(y * u, -1) + uu
+    return 0.5 * uu * (1.0 + yy) + 0.25 * cross * cross
 
 
 def _coefficients(c):

@@ -5,19 +5,14 @@ measurement matrices A_i.  Dense instances keep each A_i once, as its packed
 lower triangle, and evaluate g from one BLAS matrix-vector product of the
 (m, d(d+1)/2) packed stack with the pair products x_j x_k; the gradient
 unpacks sum_i r_i A_i from one product of the residuals with the same stack.
-Rank-one instances A_i = a_i a_i^T use the m inner products a_i^T x.  The
-instance memoizes the residuals and gradient of its last point, keyed on the
-point's shape and bytes, so g(x+) and grad g(x+) share one residual pass;
-the data arrays are read-only copies.  The memo is one tuple set by one
-assignment, so a library caller that shares an instance across its own
-threads can only miss it; bpg solve runs in one thread.
+Rank-one instances A_i = a_i a_i^T use the m inner products a_i^T x.
+:func:`qip_oracle` gives g and grad g from one residual pass, once per solver
+step; an instance keeps no state but read-only copies of its data.
 
-Paired with the paper's kernel h(x) = 1/4 ||x||^4 + 1/2 ||x||^2, the Bregman
-proximal step has an explicit solution for both an l1 penalty and an l0-ball
-(sparsity) constraint, and both are the same map: threshold the solver's
-vector p = lam * grad g(x) - grad h(x) (:func:`p_lambda`) to v = S(p) (soft)
-or H_s(p) (hard), then return (grad h)^{-1}(-v) = -t v, where t solves the
-paper's l1 cubic ||v||^2 t^3 + t = 1 (:func:`cubic_root_l1`, in closed form).
+Under the paper's kernel h(x) = 1/4 ||x||^4 + 1/2 ||x||^2 the Bregman step is
+explicit for an l1 penalty and an l0-ball constraint, and both are one map:
+threshold the driver p = lam * grad g(x) - grad h(x) to v = S(p) or H_s(p),
+then return (grad h)^{-1}(-v) = -t v, t the root of ||v||^2 t^3 + t = 1.
 
 The certified adaptability constant (source ``qip-gram``) is
 L* = max(3*lam, beta), lam = lambda_max(sum_i A_i^2), beta = ||sum_i b_i A_i||:
@@ -54,10 +49,10 @@ class L1:
             raise ValueError(f"l1 weight must be positive and finite, got {self.theta}")
 
     def value(self, x):
-        return self.theta * float(np.add.reduce(np.abs(x), axis=None))
+        return self.theta * float(np.add.reduce(np.abs(x), None))
 
-    def prox(self, p, lam):
-        return prox_l1(p, lam * self.theta)
+    def prox(self, p, lam):  # prox_l1 on the solver's driver, which needs no checks
+        return _radial_step(_shrink(p, lam * self.theta))
 
 
 @dataclass(frozen=True)
@@ -73,8 +68,8 @@ class L0Ball:
     def value(self, x):
         return 0.0 if np.count_nonzero(x) <= self.s else np.inf
 
-    def prox(self, p, lam):
-        return prox_l0(p, self.s)
+    def prox(self, p, lam):  # prox_l0; QipInstance checks s < d
+        return _radial_step(_keep_largest(p, self.s))
 
 
 def _check_finite(a, name):
@@ -143,9 +138,8 @@ class QipInstance:
         self.d = d
         self.m = m
         for a in (self.b, self.lower, self.factors):
-            if a is not None:  # an edit in place would outdate the memo
+            if a is not None:
                 a.flags.writeable = False
-        self._last = (None, None, None, None)
 
     def dense_matrices(self):
         """The measurement matrices as a new dense (m, d, d) array."""
@@ -190,52 +184,43 @@ def _check_point(inst, x):
 
 
 def _residuals(inst, x):
-    """Residuals x^T A_i x - b_i, batched over the leading axes of x.
-
-    Rank-one instances also give the products a_i^T x, shape (..., m).  Dense
-    instances take x^T A_i x from one BLAS product of the packed stack with
-    the pair products w = x_j x_k over the lower triangle, weighted 2 off the
-    diagonal; they give None in place of the products.
+    """Residuals x^T A_i x - b_i, batched over the leading axes of x, and for
+    rank-one instances the products a_i^T x (dense: None).  Dense instances
+    weight the pair products w = x_j x_k by 2 off the diagonal.  For one
+    point, ``ndarray.dot`` gives the bits of ``@`` at a fraction of its cost.
     """
+    one = x.ndim == 1
     if inst.factors is not None:
-        ax = x @ inst.factors.T
+        ax = x.dot(inst.factors.T) if one else x @ inst.factors.T
         return ax * ax - inst.b, ax
     rows, cols = inst._pairs
     w = x[..., rows] * x[..., cols] * inst._weight
-    return w @ inst.lower.T - inst.b, None
+    return (w.dot(inst.lower.T) if one else w @ inst.lower.T) - inst.b, None
 
 
-def _entry(inst, x):
-    """The memo entry (key, r, ax, grad) for x; grad is None until computed."""
-    key = (x.shape, x.tobytes())
-    entry = inst._last
-    if entry[0] != key:
-        entry = inst._last = (key, *_residuals(inst, x), None)
-    return entry
+def qip_oracle(inst, x):
+    """(g(x), grad g(x)) from one residual pass; dense instances unpack
+    S = sum_i r_i A_i from the packed row r @ lower, and grad g(x) = S x."""
+    x = _check_point(inst, x)
+    r, ax = _residuals(inst, x)
+    one = x.ndim == 1
+    if inst.factors is not None:
+        grad = (r * ax).dot(inst.factors) if one else (r * ax) @ inst.factors
+    else:
+        S = (r.dot(inst.lower) if one else r @ inst.lower)[..., inst._unpack]
+        grad = S.dot(x) if one else (S @ x[..., None])[..., 0]
+    return 0.25 * np.add.reduce(r * r, -1), grad
 
 
 def qip_value(inst, x):
     """The smooth data-fit value g(x) = 1/4 sum_i (x^T A_i x - b_i)^2."""
-    x = _check_point(inst, x)
-    r = _entry(inst, x)[1]
-    return 0.25 * np.add.reduce(r * r, axis=-1)
+    r = _residuals(inst, _check_point(inst, x))[0]
+    return 0.25 * np.add.reduce(r * r, -1)
 
 
 def qip_gradient(inst, x):
-    """Analytic gradient sum_i (x^T A_i x - b_i) A_i x (each A_i symmetric).
-
-    Dense instances unpack S = sum_i r_i A_i from the one packed row r @ lower
-    and return S x.  The result is a new array; the memo keeps its own copy.
-    """
-    x = _check_point(inst, x)
-    key, r, ax, grad = _entry(inst, x)
-    if grad is None:
-        if inst.factors is not None:
-            grad = (r * ax) @ inst.factors
-        else:
-            grad = ((r @ inst.lower)[..., inst._unpack] @ x[..., None])[..., 0]
-        inst._last = (key, r, ax, grad)
-    return grad.copy()
+    """Analytic gradient sum_i (x^T A_i x - b_i) A_i x (each A_i symmetric)."""
+    return qip_oracle(inst, x)[1]
 
 
 def p_lambda(inst, kernel, lam, x):
@@ -249,7 +234,10 @@ def soft_threshold(y, tau):
     """Componentwise shrinkage max(|y| - tau, 0) * sgn(y)."""
     if not tau >= 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
-    y = np.asarray(y, dtype=float)
+    return _shrink(np.asarray(y, dtype=float), tau)
+
+
+def _shrink(y, tau):
     return np.sign(y) * np.maximum(np.abs(y) - tau, 0.0)
 
 
@@ -263,6 +251,10 @@ def hard_threshold(y, s):
         raise ValueError("hard_threshold expects a single vector")
     if not (isinstance(s, numbers.Integral) and 1 <= s <= y.size):
         raise ValueError(f"sparsity level must be an integer with 1 <= s <= {y.size}, got {s}")
+    return _keep_largest(y, s)
+
+
+def _keep_largest(y, s):
     keep = (-np.abs(y)).argsort(kind="stable")[:s]
     out = np.zeros(y.shape)
     out[keep] = y[keep]
@@ -310,8 +302,7 @@ def make_problem(inst, kernel=None):
                          f"1/4 ||x||^4 + 1/2 ||x||^2 on R^{inst.d} that L* certifies; "
                          f"got {kernel!r}")
     return Problem(
-        g_value=lambda x: qip_value(inst, x),
-        g_gradient=lambda x: qip_gradient(inst, x),
+        g_oracle=lambda x: qip_oracle(inst, x),
         prox_map=inst.regularizer.prox,
         f_value=inst.regularizer.value,
         kernel=kernel,

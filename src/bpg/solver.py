@@ -1,8 +1,10 @@
 """Bregman proximal gradient iteration engine with guarantee monitoring.
 
 :func:`bpg_step` takes one step x+ = prox_map(lam * grad g(x) - grad h(x), lam)
-with a constant step 0 < lam * L < 1, and :func:`run_bpg` iterates it.  Every
-step is checked against the sufficient-decrease inequality
+with a constant step 0 < lam * L < 1, and :func:`run_bpg` iterates it, with
+its inputs checked once.  A step makes one ``g_oracle`` call (g and grad g at
+x+) and one ``kernel.step_terms`` call.  Every step is checked against the
+sufficient-decrease inequality
 
     lam * Psi(x+) <= lam * Psi(x) - (1 - lam*L) * D_h(x+, x),
 
@@ -44,22 +46,25 @@ class DivergenceError(RuntimeError):
 class Problem:
     """A composite instance: smooth part, prox map, nonsmooth value, geometry.
 
+    ``g_oracle(x)`` returns (g(x), grad g(x)), the gradient a float array.
     ``prox_map(p, lam)`` takes the vector p = lam * grad g(x) - grad h(x) and
     returns one (deterministic) minimizer of lam * f(u) + <p, u> + h(u), the
-    step T_lam(x), finite and feasible (``f_value`` is finite there).
-    ``psi_lower_bound`` is a known lower bound on Psi, for the min-gap bounds.
+    step T_lam(x), finite and feasible (``f_value`` is finite there).  The
+    step calls ``kernel.step_terms``; ``psi_lower_bound`` bounds Psi below.
     """
 
-    g_value: Callable
-    g_gradient: Callable
+    g_oracle: Callable
     prox_map: Callable
     f_value: Callable
     kernel: object
     smad: object
     psi_lower_bound: float = 0.0
 
-    def psi(self, x):
-        return float(self.f_value(x)) + float(self.g_value(x))
+    def g_value(self, x):
+        return self.g_oracle(x)[0]
+
+    def g_gradient(self, x):
+        return self.g_oracle(x)[1]
 
 
 @dataclass
@@ -175,7 +180,7 @@ class SolveResult:
 def _check_decrease(lam, L, psi_x, psi_new, dh):
     if psi_x == math.inf:
         return  # infeasible start: the inequality is vacuous
-    slack = DECREASE_SLACK * (1.0 + abs(psi_x))
+    slack = lam * DECREASE_SLACK * (1.0 + abs(psi_x))  # at the scale of each side
     # negated, so that a NaN on either side (or in D_h) is a violation too
     if not lam * psi_new <= lam * psi_x - (1.0 - lam * L) * dh + slack:
         raise DecreaseViolationError(
@@ -212,9 +217,10 @@ def _norm(v):
     return n
 
 
-def _guard_iterate(x):
+def _guard_iterate(x):  # returns ||x||
     if not (n := _norm(x)) <= DIVERGENCE_NORM:
         raise DivergenceError(f"iterate norm {n:.3e} is not finite or exceeds {DIVERGENCE_NORM:.0e}")
+    return n
 
 
 class Step(NamedTuple):
@@ -228,51 +234,58 @@ class Step(NamedTuple):
     grad_h: np.ndarray
 
 
-def bpg_step(problem, lam, x, psi=None, grad=None, grad_h=None):
-    """One Bregman proximal gradient step from x, with its guarantees enforced.
+def _held(problem, x):
+    """Psi, grad g, grad h and the kernel's ||x||^2 at x: what a step from x holds."""
+    g, grad = problem.g_oracle(x)
+    grad_h, sq, _ = problem.kernel.step_terms(x, x, np.zeros_like(x), 0.0)
+    return float(problem.f_value(x)) + float(g), grad, grad_h, sq
 
-    Pass ``psi``, ``grad`` and ``grad_h`` (Psi, grad g and grad h at x: the
-    previous Step's fields) when at hand; otherwise they are computed.  Raises
-    ValueError unless 0 < lam*L < 1 and Psi(x+) respects the lower bound; x
-    is checked to be finite only when ``psi`` is not passed.  A NaN Psi, or an
-    infinite Psi(x+) after a finite Psi(x), fails the decrease check; only an
-    infeasible x (Psi(x) = +inf) makes that check vacuous.
+
+def _step(problem, lam, L, x, psi, grad, grad_h, sq):
+    """The step on checked inputs: Step's fields, the kernel's ||x+||^2, ||x+||, ||x+ - x||."""
+    x_new = np.asarray(problem.prox_map(lam * grad - grad_h, lam), dtype=float)
+    norm = _guard_iterate(x_new)
+    g_new, grad_new = problem.g_oracle(x_new)
+    psi_new = float(problem.f_value(x_new)) + float(g_new)
+    u = x_new - x
+    grad_h_new, sq_new, dh = problem.kernel.step_terms(x_new, x, u, sq)
+    _check_decrease(lam, L, psi, psi_new, dh := float(dh))
+    _check_lower_bound(problem, psi_new, "Psi(x+)")
+    w = grad_new - grad + (grad_h - grad_h_new) / lam
+    return x_new, psi_new, grad_new, dh, w, grad_h_new, sq_new, norm, _norm(u)
+
+
+def bpg_step(problem, lam, x, psi=None, grad=None, grad_h=None):
+    """One Bregman proximal gradient step from a finite x, with its guarantees enforced.
+
+    ``psi``, ``grad`` and ``grad_h`` (Psi, grad g and grad h at x: the previous
+    Step's fields), when passed, stand in for the values computed at x.
+    Raises ValueError unless 0 < lam*L < 1 and Psi(x+) respects the lower
+    bound.  A NaN Psi, or an infinite Psi(x+) after a finite Psi(x), fails the
+    decrease check; only an infeasible x (Psi(x) = +inf) makes it vacuous.
     """
     L = problem.smad.L
     lam = resolve_step(lam, L)
     x = np.asarray(x, dtype=float)
-    if psi is None:
-        if not np.all(np.isfinite(x)):
-            raise ValueError("current point must be finite")
-        psi = problem.psi(x)
-    if grad is None:
-        grad = np.asarray(problem.g_gradient(x), dtype=float)
-    if grad_h is None:
-        grad_h = problem.kernel.gradient(x)
-    x_new = np.asarray(problem.prox_map(lam * grad - grad_h, lam), dtype=float)
-    _guard_iterate(x_new)
-    psi_new = problem.psi(x_new)
-    dh = float(problem.kernel.bregman(x_new, x))
-    _check_decrease(lam, L, psi, psi_new, dh)
-    _check_lower_bound(problem, psi_new, "Psi(x+)")
-    grad_new = np.asarray(problem.g_gradient(x_new), dtype=float)
-    grad_h_new = problem.kernel.gradient(x_new)
-    w = grad_new - grad + (grad_h - grad_h_new) / lam
-    return Step(x_new, psi_new, grad_new, dh, w, grad_h_new)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("current point must be finite")
+    at_x = _held(problem, x)
+    held = [a if b is None else b for a, b in zip(at_x, (psi, grad, grad_h))]
+    return Step(*_step(problem, lam, L, x, *held, at_x[3])[:6])
 
 
 def run_bpg(problem, config):
-    """Iterate :func:`bpg_step` until a stopping rule fires; returns a SolveResult.
+    """Iterate :func:`bpg_step`'s step until a stopping rule fires; returns a SolveResult.
 
     Raises :class:`DecreaseViolationError` / :class:`DivergenceError` on
     diagnostics; reaching ``max_iters`` is a reported reason, not an error.
     A Psi(x0) that is NaN or below ``problem.psi_lower_bound`` is a ValueError.
     """
-    lam = resolve_step(config.lam, problem.smad.L)
+    L = problem.smad.L
+    lam = resolve_step(config.lam, L)
     x = config.x0.copy()
-    psi = problem.psi(x)
+    psi, grad, grad_h, sq = _held(problem, x)
     _check_lower_bound(problem, psi, "Psi(x0)")
-    grad = grad_h = None  # the first step computes both
 
     trace = IterateTrace()
     trace.append(0, psi, 0.0, 0.0, math.nan, 0.0)
@@ -281,25 +294,19 @@ def run_bpg(problem, config):
     reason = MAX_ITERS
 
     for k in range(1, config.max_iters + 1):
-        step = bpg_step(problem, lam, x, psi, grad, grad_h)
-        wnorm, step_norm = _norm(step.witness), _norm(step.x - x)
-        trace.append(k, step.psi, step.dh, step_norm, wnorm, time.perf_counter() - t0)
+        x, psi, grad, dh, w, grad_h, sq, norm, step_norm = _step(problem, lam, L, x, psi, grad,
+                                                                 grad_h, sq)
+        trace.append(k, psi, dh, step_norm, wnorm := _norm(w), time.perf_counter() - t0)
         if iterates is not None:
-            iterates.append(step.x.copy())
-        x, psi, grad, grad_h = step.x, step.psi, step.grad, step.grad_h
-        if step_norm <= config.tol_step * (1.0 + _norm(x)):
+            iterates.append(x.copy())
+        if step_norm <= config.tol_step * (1.0 + norm):
             reason = STEP_TOLERANCE
             break
         if config.tol_residual is not None and wnorm <= config.tol_residual:
             reason = RESIDUAL_TOLERANCE
             break
 
-    return SolveResult(
-        x=x,
-        trace=trace,
-        reason=reason,
-        iterates=np.array(iterates) if iterates is not None else None,
-    )
+    return SolveResult(x, trace, reason, np.array(iterates) if iterates is not None else None)
 
 
 def min_gap_bound(trace, lam, L, psi_lower_bound, n=None):

@@ -99,7 +99,8 @@ def p_lambda_iterates(inst, lam, x0, steps):
 class EnergyKernel:
     """h(x) = 1/2 ||x||^2, for solver tests in Euclidean geometry.
 
-    The solver takes any kernel with ``value``, ``gradient`` and ``bregman``;
+    The solver takes any kernel with ``value``, ``gradient``, ``bregman`` and
+    ``step_terms``;
     under this one D_h(x, y) = ||x - y||^2 / 2 and the Bregman step is a
     plain gradient step.  ``make_problem`` rejects it.
     """
@@ -112,6 +113,10 @@ class EnergyKernel:
 
     def bregman(self, x, y):
         return 0.5 * np.sum((x - y) ** 2, axis=-1)
+
+    def step_terms(self, x, y, u, yy):
+        """(grad h(x), ||x||^2, D_h(x, y)) for u = x - y, as ``Kernel.step_terms``."""
+        return self.gradient(x), np.sum(x * x, axis=-1), 0.5 * np.sum(u ** 2, axis=-1)
 
 
 def linalg_norm(v):

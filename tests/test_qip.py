@@ -37,7 +37,7 @@ from bpg import (
     run_bpg,
     soft_threshold,
 )
-from bpg.qip import p_lambda
+from bpg.qip import p_lambda, qip_oracle
 
 
 def triple_loop_value(inst, x):
@@ -229,7 +229,7 @@ class TestPackedOracle:
         np.testing.assert_array_equal(full[:, rows, cols], inst.lower)
 
 
-def memo_instance(kind, seed, regularizer=None):
+def small_instance(kind, seed, regularizer=None):
     """A small dense or rank-one instance; the same seed gives the same data."""
     rng = np.random.default_rng(seed)
     regularizer = regularizer or L1(0.1)
@@ -237,6 +237,19 @@ def memo_instance(kind, seed, regularizer=None):
         return random_dense_instance(rng, d=5, m=7, regularizer=regularizer)
     return QipInstance(b=rng.standard_normal(7), regularizer=regularizer,
                        factors=rng.standard_normal((7, 5)))
+
+
+def matmul_oracle(inst, x):
+    """g and grad g with every product through @, as for a batch."""
+    if inst.factors is not None:
+        ax = x @ inst.factors.T
+        r = ax * ax - inst.b
+        grad = (r * ax) @ inst.factors
+    else:
+        rows, cols = np.tril_indices(inst.d)
+        r = (x[..., rows] * x[..., cols] * np.where(rows == cols, 1.0, 2.0)) @ inst.lower.T - inst.b
+        grad = ((r @ inst.lower)[..., inst._unpack] @ x[..., None])[..., 0]
+    return 0.25 * np.add.reduce(r * r, -1), grad
 
 
 def caller_data_instance(kind, seed):
@@ -264,41 +277,19 @@ def same_bits(a, b):
 
 @pytest.mark.parametrize("kind", ["dense", "rank-one"])
 class TestOracleMemo:
-    """The instance's memo of its last point returns what recomputing would."""
+    """The fused oracle, and the read-only data it reads; nothing else is kept."""
 
-    def test_point_sequence_matches_fresh_instance(self, kind):
-        inst = memo_instance(kind, 60)
+    def test_fused_oracle_matches_value_and_gradient(self, kind):
+        inst = small_instance(kind, 60)
         rng = np.random.default_rng(61)
-        x, y = rng.standard_normal(5), rng.standard_normal(5)
-        X = np.stack([x, y, -x])
-        # x and x[None] have the same bytes; only the shape tells them apart
-        for point, gradient_first in [(x, False), (y, True), (x, False), (X, False),
-                                      (x, True), (x[None], False), (x, False)]:
-            if gradient_first:
-                g = qip_gradient(inst, point)
-                v = qip_value(inst, point)
-            else:
-                v = qip_value(inst, point)
-                g = qip_gradient(inst, point)
-            fresh_v, fresh_g = fresh_oracle(inst, point)
-            assert same_bits(v, fresh_v) and same_bits(g, fresh_g)
-
-    def test_point_edited_in_place(self, kind):
-        inst = memo_instance(kind, 62)
-        x = np.random.default_rng(63).standard_normal(5)
-        qip_value(inst, x)
-        x[0] += 1.0
-        assert same_bits(qip_gradient(inst, x), fresh_oracle(inst, x)[1])
-        x[1] -= 1.0
-        assert same_bits(qip_value(inst, x), fresh_oracle(inst, x)[0])
-
-    def test_returned_gradient_is_a_copy(self, kind):
-        inst = memo_instance(kind, 64)
-        x = np.random.default_rng(65).standard_normal(5)
-        g = qip_gradient(inst, x)
-        expected = g.copy()
-        g[:] = 0.0
-        assert same_bits(qip_gradient(inst, x), expected)
+        for batch in [(), (3,), (2, 3)]:
+            x = rng.standard_normal(batch + (5,))
+            value, grad = qip_oracle(inst, x)
+            assert same_bits(value, qip_value(inst, x))
+            assert same_bits(grad, qip_gradient(inst, x))
+            # one point takes ndarray.dot, which must give the bits of @
+            expected = matmul_oracle(inst, x)
+            assert same_bits(value, expected[0]) and same_bits(grad, expected[1])
 
     def test_data_is_read_only(self, kind):
         inst, b, data = caller_data_instance(kind, 66)
@@ -320,14 +311,14 @@ class TestOracleMemo:
         b[0] += 5.0
         data[0] += 1.0
         assert same_bits(inst.b, before)
-        # x is the memo's point, y a new one
+        # x was evaluated before the edits, y was not
         assert same_bits(qip_value(inst, x), value) and same_bits(qip_gradient(inst, x), grad)
         assert same_bits(qip_value(inst, y), expected[0])
         assert same_bits(qip_gradient(inst, y), expected[1])
 
     def test_one_residual_pass_per_iteration(self, kind, monkeypatch):
         reg = L1(0.1) if kind == "dense" else L0Ball(2)
-        inst = memo_instance(kind, 67, reg)
+        inst = small_instance(kind, 67, reg)
         prob = make_problem(inst, Kernel.quartic(5))
         misses = []
         residuals = bpg.qip._residuals
@@ -344,11 +335,11 @@ class TestOracleMemo:
 
     def test_threads_sharing_a_problem(self, kind):
         # bpg solve runs its starts one after another, but a library caller
-        # may share one instance across its own threads, and a memo race may
-        # only miss: here on more threads than cores, switching as often as
-        # possible, every run keeps the bits it has alone
+        # may share one instance across its own threads, and the instance
+        # keeps no state between calls: here on more threads than cores,
+        # switching as often as possible, every run keeps the bits it has alone
         reg = L1(0.1) if kind == "dense" else L0Ball(2)
-        prob = make_problem(memo_instance(kind, 69, reg), Kernel.quartic(5))
+        prob = make_problem(small_instance(kind, 69, reg), Kernel.quartic(5))
         rng = np.random.default_rng(70)
         configs = [BpgConfig(x0=rng.standard_normal(5), max_iters=300, tol_step=0.0)
                    for _ in range(min((os.cpu_count() or 1) + 1, 16))]

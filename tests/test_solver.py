@@ -25,7 +25,7 @@ from bpg import (
 )
 import bpg.kernels
 import bpg.qip
-from bpg.solver import DIVERGENCE_NORM, _guard_iterate, _norm
+from bpg.solver import DIVERGENCE_NORM, _check_decrease, _guard_iterate, _norm
 
 
 def quadratic_problem(c):
@@ -35,8 +35,7 @@ def quadratic_problem(c):
     """
     c = np.asarray(c, dtype=float)
     return Problem(
-        g_value=lambda x: 0.5 * np.sum((x - c) ** 2, axis=-1),
-        g_gradient=lambda x: x - c,
+        g_oracle=lambda x: (0.5 * np.sum((x - c) ** 2, axis=-1), x - c),
         prox_map=lambda p, lam: -p,
         f_value=lambda x: 0.0,
         kernel=EnergyKernel(),
@@ -89,6 +88,14 @@ class TestBpgStep:
         with pytest.raises(DecreaseViolationError):
             run_bpg(lying, config)
 
+    def test_decrease_slack_scales_with_the_step(self):
+        # a slack of 1e-8 * (1 + |Psi(x)|), not scaled by lam, let Psi rise by
+        # up to 1e-8 / lam per step: 9e-6 at the phase-retrieval lam = 0.99/860
+        lam, L = 0.99 / 860.0, 860.0
+        with pytest.raises(DecreaseViolationError):
+            _check_decrease(lam, L, 1e-19, 5e-6, 0.0)
+        _check_decrease(lam, L, 1e-19, 5e-9, 0.0)  # a rise within 1e-8 (1 + |Psi(x)|) passes
+
     @pytest.mark.parametrize("bad", [
         [np.nan, 0.0],
         [np.inf, 0.0],
@@ -118,8 +125,8 @@ class TestBpgStep:
         prob = make_problem(inst)
         lam, x = 0.9 / prob.smad.L, rng.standard_normal(5)
         alone = bpg_step(prob, lam, x)
-        held = bpg_step(prob, lam, x, prob.psi(x), prob.g_gradient(x),
-                        grad_h=prob.kernel.gradient(x))
+        psi = float(prob.f_value(x)) + float(prob.g_value(x))
+        held = bpg_step(prob, lam, x, psi, prob.g_gradient(x), grad_h=prob.kernel.gradient(x))
         assert alone._fields == held._fields
         for a, b in zip(alone, held):
             a, b = np.asarray(a), np.asarray(b)
@@ -176,8 +183,7 @@ class TestRunBpg:
     def test_divergence_guard(self):
         d = 2
         prob = Problem(
-            g_value=lambda x: -np.sum(x * x, axis=-1),
-            g_gradient=lambda x: -2.0 * x,
+            g_oracle=lambda x: (-np.sum(x * x, axis=-1), -2.0 * x),
             prox_map=lambda p, lam: -p,  # p = -2x at lam = 0.5: x+ = 2x
             f_value=lambda x: 0.0,
             kernel=EnergyKernel(),
@@ -210,14 +216,15 @@ class TestRunBpg:
     def test_non_finite_psi_after_a_step_is_a_decrease_violation(self, bad):
         # Psi(x0) = 2; the step halves x, and g is `bad` left of x[0] = 1.5
         prob = quadratic_problem([0.0, 0.0])
-        g = prob.g_value
-        prob.g_value = lambda x: bad if x[0] < 1.5 else g(x)
+        g = prob.g_oracle
+        prob.g_oracle = lambda x: (bad, g(x)[1]) if x[0] < 1.5 else g(x)
         with pytest.raises(DecreaseViolationError):
             run_bpg(prob, BpgConfig(x0=np.array([2.0, 0.0]), lam=0.5, max_iters=5))
 
     def test_nan_psi_at_start_rejected(self):
         prob = quadratic_problem([0.0, 0.0])
-        prob.g_value = lambda x: np.nan
+        g = prob.g_oracle
+        prob.g_oracle = lambda x: (np.nan, g(x)[1])
         prob.prox_map = lambda p, lam: -4.0 * p  # p = -x/2 at lam = 0.5: x+ = 2x
         x0 = np.array([1.0, 0.0])
         with pytest.raises(ValueError, match=r"Psi\(x0\)=nan is NaN or below"):
@@ -272,13 +279,13 @@ class TestRunBpg:
         assert np.all(trace.witness_norm[1:] <= rho2 * trace.step_norm[1:] * (1.0 + 1e-9) + 1e-15)
 
     def test_call_budget(self, monkeypatch):
-        # per iteration at most 2 oracle calls (g and grad g at x+), 1 grad h
-        # call and 1 cubic solve (either form); at the start, 2 oracle calls
-        # and 1 grad h call
+        # per iteration 1 oracle call (g and grad g at x+), 1 kernel call and
+        # 1 cubic solve (either form); at the start, 1 oracle call and 1
+        # kernel call
         rng = np.random.default_rng(56)
         inst = random_dense_instance(rng, d=4, m=6, regularizer=L1(theta=0.1))
         prob = make_problem(inst, Kernel.quartic(4))
-        counts = {"oracle": 0, "grad_h": 0, "cubic": 0}
+        counts = {"oracle": 0, "kernel": 0, "cubic": 0}
 
         def counted(fn, key):
             def wrapper(*args):
@@ -286,17 +293,16 @@ class TestRunBpg:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(bpg.qip, "qip_value", counted(bpg.qip.qip_value, "oracle"))
-        monkeypatch.setattr(bpg.qip, "qip_gradient", counted(bpg.qip.qip_gradient, "oracle"))
-        monkeypatch.setattr(Kernel, "gradient", counted(Kernel.gradient, "grad_h"))
+        for name in ("qip_oracle", "qip_value", "qip_gradient"):
+            monkeypatch.setattr(bpg.qip, name, counted(getattr(bpg.qip, name), "oracle"))
+        for name in ("value", "gradient", "bregman", "step_terms"):
+            monkeypatch.setattr(Kernel, name, counted(getattr(Kernel, name), "kernel"))
         for name in ("cubic_root_l0", "cubic_root_l1"):
             monkeypatch.setattr(bpg.kernels, name, counted(getattr(bpg.kernels, name), "cubic"))
         res = run_bpg(prob, BpgConfig(x0=rng.standard_normal(4), max_iters=20, tol_step=0.0))
         iters = res.iterations
         assert iters == 20
-        assert 0 < counts["oracle"] <= 2 * iters + 2
-        assert 0 < counts["grad_h"] <= iters + 1
-        assert 0 < counts["cubic"] <= iters
+        assert counts == {"oracle": iters + 1, "kernel": iters + 1, "cubic": iters}
 
     @pytest.mark.parametrize("kind", ["rank-one-l0", "dense-l1"])
     def test_iterates_match_reference_loop(self, kind):
@@ -335,6 +341,8 @@ class TestRunBpg:
                  + (h.gradient(it[k - 1]) - h.gradient(it[k])) / lam)
             assert res.trace.witness_norm[k] == linalg_norm(w)
             assert res.trace.step_norm[k] == linalg_norm(it[k] - it[k - 1])
+            # the loop's D_h takes ||x_{k-1}||^2 from the previous kernel call
+            assert res.trace.dh_gap[k] == h.bregman(it[k], it[k - 1])
 
     def test_witness_zero_implies_fixed_point(self):
         rng = np.random.default_rng(52)
