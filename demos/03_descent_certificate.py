@@ -14,11 +14,11 @@ tight in kind, not vacuous.
 
 import numpy as np
 
-from bpg import check_descent_lemma, make_problem
+from bpg import check_descent_lemma, make_problem, qip_gradient, qip_value
 from bpg.instances import generate_instance
 
 
-def audit(problem, L, n_pairs=20_000, radius=10.0, seed=0):
+def audit(inst, problem, L, n_pairs=20_000, radius=10.0, seed=0):
     rng = np.random.default_rng(seed)
     d = problem.kernel.dimension
 
@@ -27,8 +27,8 @@ def audit(problem, L, n_pairs=20_000, radius=10.0, seed=0):
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         return radius * rng.random((n, 1)) ** (1.0 / d) * v
 
-    return check_descent_lemma(problem.g_value, problem.g_gradient, problem.kernel, L,
-                               ball(n_pairs), ball(n_pairs))
+    return check_descent_lemma(lambda x: qip_value(inst, x), lambda x: qip_gradient(inst, x),
+                               problem.kernel, L, ball(n_pairs), ball(n_pairs))
 
 
 def main():
@@ -38,12 +38,12 @@ def main():
     cert = problem.smad
     print(f"certified constant L* = {cert.L:.4e} ({cert.source})")
 
-    report = audit(problem, cert.L)
+    report = audit(inst, problem, cert.L)
     print(f"certified L*: {report.n_violations} violations over 20000 pairs, "
           f"worst margin {report.worst_margin:.3e}")
 
     for shrink in (10.0, 1e3):
-        bad = audit(problem, cert.L / shrink)
+        bad = audit(inst, problem, cert.L / shrink)
         print(f"L* / {shrink:g}: {bad.n_violations} violations "
               f"(worst margin {bad.worst_margin:.3e})")
 

@@ -10,7 +10,7 @@ maps (:mod:`bpg.qip`), and instance file handling (:mod:`bpg.instances`).
 from .kernels import Kernel, cubic_root_l0, cubic_root_l1
 from .smad import DescentReport, SmadCertificate, check_descent_lemma
 from .solver import (BpgConfig, DecreaseViolationError, DivergenceError, IterateTrace, Problem,
-                     SolveResult, bpg_step, min_gap_bound, run_bpg)
+                     SolveResult, min_gap_bound, run_bpg)
 from .qip import (L0Ball, L1, QipInstance, hard_threshold, make_problem, prox_l0, prox_l1,
                   qip_gradient, qip_oracle, qip_value, soft_threshold)
 from .instances import generate_instance, load_instance, save_instance
@@ -19,7 +19,7 @@ __all__ = [
     "Kernel", "cubic_root_l0", "cubic_root_l1",
     "DescentReport", "SmadCertificate", "check_descent_lemma",
     "BpgConfig", "DecreaseViolationError", "DivergenceError", "IterateTrace",
-    "Problem", "SolveResult", "bpg_step", "min_gap_bound", "run_bpg",
+    "Problem", "SolveResult", "min_gap_bound", "run_bpg",
     "L0Ball", "L1", "QipInstance", "hard_threshold", "make_problem",
     "prox_l0", "prox_l1", "qip_gradient", "qip_oracle", "qip_value", "soft_threshold",
     "generate_instance", "load_instance", "save_instance",

@@ -1,19 +1,18 @@
 """Bregman proximal gradient iteration engine with guarantee monitoring.
 
-:func:`bpg_step` takes one step x+ = prox_map(lam * grad g(x) - grad h(x), lam)
-with a constant step 0 < lam * L < 1, and :func:`run_bpg` iterates it, with
-its inputs checked once.  A step makes one ``g_oracle`` call (g and grad g at
-x+) and one ``kernel.step_terms`` call.  Every step is checked against the
-sufficient-decrease inequality
+:func:`run_bpg` iterates the step x+ = prox_map(lam * grad g(x) - grad h(x), lam)
+with a constant step 0 < lam * L < 1, with its inputs checked once.  A step
+makes one ``g_oracle`` call (g and grad g at x+) and one ``kernel.step_terms``
+call.  Every step is checked against the sufficient-decrease inequality
 
     lam * Psi(x+) <= lam * Psi(x) - (1 - lam*L) * D_h(x+, x),
 
 a violation of which signals a wrong adaptability constant, a wrong prox map,
-or numerical breakdown, and aborts the run.  A step returns a :class:`Step`
-record (x+, Psi(x+), grad g(x+), D_h(x+, x), witness, grad h(x+)), where the
-witness w = grad g(x+) - grad g(x) + (grad h(x) - grad h(x+)) / lam is an
-explicit subgradient of Psi at x+; the next step reuses both gradients.  The
-trace records Psi, the Bregman gap, the step norm and the witness norm.
+or numerical breakdown, and aborts the run.  Every iterate, the start
+included, must pass the divergence guard.  The witness
+w = grad g(x+) - grad g(x) + (grad h(x) - grad h(x+)) / lam is an explicit
+subgradient of Psi at x+; the next step reuses both gradients.  The trace
+records Psi, the Bregman gap, the step norm and the witness norm.
 """
 
 import csv
@@ -22,7 +21,7 @@ import numbers
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -223,26 +222,9 @@ def _guard_iterate(x):  # returns ||x||
     return n
 
 
-class Step(NamedTuple):
-    """One accepted step x+ = T_lam(x), as described in the module docstring."""
-
-    x: np.ndarray
-    psi: float
-    grad: np.ndarray
-    dh: float
-    witness: np.ndarray
-    grad_h: np.ndarray
-
-
-def _held(problem, x):
-    """Psi, grad g, grad h and the kernel's ||x||^2 at x: what a step from x holds."""
-    g, grad = problem.g_oracle(x)
-    grad_h, sq, _ = problem.kernel.step_terms(x, x, np.zeros_like(x), 0.0)
-    return float(problem.f_value(x)) + float(g), grad, grad_h, sq
-
-
 def _step(problem, lam, L, x, psi, grad, grad_h, sq):
-    """The step on checked inputs: Step's fields, the kernel's ||x+||^2, ||x+||, ||x+ - x||."""
+    """T_lam(x) on checked inputs: x+, Psi(x+), grad g(x+), D_h(x+, x), the
+    witness norm, grad h(x+), the kernel's ||x+||^2, ||x+|| and ||x+ - x||."""
     x_new = np.asarray(problem.prox_map(lam * grad - grad_h, lam), dtype=float)
     norm = _guard_iterate(x_new)
     g_new, grad_new = problem.g_oracle(x_new)
@@ -252,39 +234,28 @@ def _step(problem, lam, L, x, psi, grad, grad_h, sq):
     _check_decrease(lam, L, psi, psi_new, dh := float(dh))
     _check_lower_bound(problem, psi_new, "Psi(x+)")
     w = grad_new - grad + (grad_h - grad_h_new) / lam
-    return x_new, psi_new, grad_new, dh, w, grad_h_new, sq_new, norm, _norm(u)
-
-
-def bpg_step(problem, lam, x, psi=None, grad=None, grad_h=None):
-    """One Bregman proximal gradient step from a finite x, with its guarantees enforced.
-
-    ``psi``, ``grad`` and ``grad_h`` (Psi, grad g and grad h at x: the previous
-    Step's fields), when passed, stand in for the values computed at x.
-    Raises ValueError unless 0 < lam*L < 1 and Psi(x+) respects the lower
-    bound.  A NaN Psi, or an infinite Psi(x+) after a finite Psi(x), fails the
-    decrease check; only an infeasible x (Psi(x) = +inf) makes it vacuous.
-    """
-    L = problem.smad.L
-    lam = resolve_step(lam, L)
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("current point must be finite")
-    at_x = _held(problem, x)
-    held = [a if b is None else b for a, b in zip(at_x, (psi, grad, grad_h))]
-    return Step(*_step(problem, lam, L, x, *held, at_x[3])[:6])
+    return x_new, psi_new, grad_new, dh, _norm(w), grad_h_new, sq_new, norm, _norm(u)
 
 
 def run_bpg(problem, config):
-    """Iterate :func:`bpg_step`'s step until a stopping rule fires; returns a SolveResult.
+    """Iterate x+ = T_lam(x) from ``config.x0`` until a stopping rule fires; returns a SolveResult.
 
-    Raises :class:`DecreaseViolationError` / :class:`DivergenceError` on
-    diagnostics; reaching ``max_iters`` is a reported reason, not an error.
-    A Psi(x0) that is NaN or below ``problem.psi_lower_bound`` is a ValueError.
+    One step from x is ``run_bpg(problem, BpgConfig(x0=x, lam=lam, max_iters=1,
+    tol_step=0.0))``.  Raises ValueError unless 0 < lam*L < 1, where Psi(x0)
+    is NaN, and where a Psi is below ``problem.psi_lower_bound``.  Raises
+    :class:`DivergenceError` where an iterate, the start included, is past the
+    divergence guard, and :class:`DecreaseViolationError` where a step breaks
+    the decrease inequality; a NaN or infinite Psi(x+) after a finite Psi(x)
+    does, and only an infeasible x (Psi(x) = +inf) makes it vacuous.
+    Reaching ``max_iters`` is a reported reason, not an error.
     """
     L = problem.smad.L
     lam = resolve_step(config.lam, L)
     x = config.x0.copy()
-    psi, grad, grad_h, sq = _held(problem, x)
+    _guard_iterate(x)
+    g, grad = problem.g_oracle(x)
+    grad_h, sq, _ = problem.kernel.step_terms(x, x, np.zeros_like(x), 0.0)
+    psi = float(problem.f_value(x)) + float(g)
     _check_lower_bound(problem, psi, "Psi(x0)")
 
     trace = IterateTrace()
@@ -294,9 +265,9 @@ def run_bpg(problem, config):
     reason = MAX_ITERS
 
     for k in range(1, config.max_iters + 1):
-        x, psi, grad, dh, w, grad_h, sq, norm, step_norm = _step(problem, lam, L, x, psi, grad,
-                                                                 grad_h, sq)
-        trace.append(k, psi, dh, step_norm, wnorm := _norm(w), time.perf_counter() - t0)
+        x, psi, grad, dh, wnorm, grad_h, sq, norm, step_norm = _step(problem, lam, L, x, psi, grad,
+                                                                     grad_h, sq)
+        trace.append(k, psi, dh, step_norm, wnorm, time.perf_counter() - t0)
         if iterates is not None:
             iterates.append(x.copy())
         if step_norm <= config.tol_step * (1.0 + norm):
@@ -320,8 +291,8 @@ def min_gap_bound(trace, lam, L, psi_lower_bound, n=None):
     gaps = trace.dh_gap[1:]
     if n is None:
         n = len(gaps)
-    if not 1 <= n <= len(gaps):
-        raise ValueError(f"n must be in [1, {len(gaps)}], got {n}")
+    if not (isinstance(n, numbers.Integral) and 1 <= n <= len(gaps)):
+        raise ValueError(f"n must be an integer in [1, {len(gaps)}], got {n!r}")
     observed = float(np.min(gaps[:n]))
     bound = lam * (trace.psi[0] - psi_lower_bound) / (n * (1.0 - lam * L))
     return observed, float(bound)

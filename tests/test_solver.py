@@ -18,7 +18,6 @@ from bpg import (
     Problem,
     QipInstance,
     SmadCertificate,
-    bpg_step,
     make_problem,
     min_gap_bound,
     run_bpg,
@@ -44,16 +43,23 @@ def quadratic_problem(c):
     )
 
 
+def one_step(prob, lam, x):
+    """One step x+ = T_lam(x) from x: a solve of one iteration."""
+    return run_bpg(prob, BpgConfig(x0=x, lam=lam, max_iters=1, tol_step=0.0))
+
+
 class TestBpgStep:
+    """One BPG step x+ = T_lam(x), taken through run_bpg."""
+
     def test_gradient_step_special_case(self):
         prob = quadratic_problem([0.0, 0.0])
-        out = bpg_step(prob, 0.5, np.array([2.0, 0.0])).x
+        out = one_step(prob, 0.5, np.array([2.0, 0.0])).x
         np.testing.assert_allclose(out, [1.0, 0.0])
 
     def test_stationary_point_is_fixed(self):
         c = np.array([1.5, -0.5])
         prob = quadratic_problem(c)
-        np.testing.assert_allclose(bpg_step(prob, 0.5, c).x, c)
+        np.testing.assert_allclose(one_step(prob, 0.5, c).x, c)
 
     def test_qip_l1_step_matches_grid_oracle(self):
         inst_matrices = np.array([np.diag([1.0, 2.0])])
@@ -64,7 +70,7 @@ class TestBpgStep:
         prob = make_problem(inst, k)
         lam = 0.9 / prob.smad.L
         x = np.array([1.0, 1.0])
-        out = bpg_step(prob, lam, x).x
+        out = one_step(prob, lam, x).x
         # independent minimization of the step model
         # lam*f(u) + lam*<grad g(x), u - x> + D_h(u, x) over a refined grid
         gx = prob.g_gradient(x)
@@ -111,33 +117,20 @@ class TestBpgStep:
         prob = quadratic_problem([0.0, 0.0])
         prob.prox_map = lambda x, lam: bad
         with pytest.raises(DivergenceError):
-            bpg_step(prob, 0.5, np.array([1.0, 0.0]))
+            one_step(prob, 0.5, np.array([1.0, 0.0]))
 
     def test_step_size_beyond_one_over_L_rejected(self):
         # lam*L = 1.5 makes the decrease check vacuous
         prob = quadratic_problem([0.0, 0.0])
         with pytest.raises(ValueError, match=r"lam\*L"):
-            bpg_step(prob, 1.5, np.array([2.0, 0.0]))
-
-    def test_held_gradients_give_the_same_step(self):
-        rng = np.random.default_rng(59)
-        inst = random_dense_instance(rng, d=5, m=8, regularizer=L1(theta=0.1))
-        prob = make_problem(inst)
-        lam, x = 0.9 / prob.smad.L, rng.standard_normal(5)
-        alone = bpg_step(prob, lam, x)
-        psi = float(prob.f_value(x)) + float(prob.g_value(x))
-        held = bpg_step(prob, lam, x, psi, prob.g_gradient(x), grad_h=prob.kernel.gradient(x))
-        assert alone._fields == held._fields
-        for a, b in zip(alone, held):
-            a, b = np.asarray(a), np.asarray(b)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            one_step(prob, 1.5, np.array([2.0, 0.0]))
 
     def test_lower_bound_enforced(self):
         # Psi(x+) = 0.5 is below the declared bound 1.0
         prob = quadratic_problem([0.0, 0.0])
         prob.psi_lower_bound = 1.0
-        with pytest.raises(ValueError, match="lower bound"):
-            bpg_step(prob, 0.5, np.array([2.0, 0.0]))
+        with pytest.raises(ValueError, match=r"Psi\(x\+\)=.* lower bound"):
+            one_step(prob, 0.5, np.array([2.0, 0.0]))
 
 
 class TestRunBpg:
@@ -193,6 +186,22 @@ class TestRunBpg:
         with pytest.raises(DivergenceError):
             run_bpg(prob, BpgConfig(x0=np.ones(d), lam=0.5, max_iters=100))
 
+    @pytest.mark.parametrize("scale", [1e13, 1e60, 1e100])
+    def test_start_past_the_guard_is_divergence(self, scale):
+        # the start meets the iterates' guard before any oracle call; at 1e60
+        # and 1e100 its square sum overflows, and this suite's filter makes
+        # numpy's overflow warning an error
+        rng = np.random.default_rng(61)
+        inst = random_dense_instance(rng, d=4, m=6, regularizer=L1(theta=0.1))
+        prob = make_problem(inst)
+        oracle = prob.g_oracle
+        calls = []
+        prob.g_oracle = lambda x: calls.append(x) or oracle(x)
+        v = rng.standard_normal(4)
+        with pytest.raises(DivergenceError, match=r"iterate norm .* exceeds 1e\+12"):
+            run_bpg(prob, BpgConfig(x0=scale * v / linalg_norm(v)))
+        assert calls == []
+
     def test_square_sum_overflow_is_divergence(self):
         # under this suite's error filter for RuntimeWarning, numpy's dot
         # raises its overflow warning; the guard must still report divergence
@@ -225,13 +234,11 @@ class TestRunBpg:
         prob = quadratic_problem([0.0, 0.0])
         g = prob.g_oracle
         prob.g_oracle = lambda x: (np.nan, g(x)[1])
-        prob.prox_map = lambda p, lam: -4.0 * p  # p = -x/2 at lam = 0.5: x+ = 2x
-        x0 = np.array([1.0, 0.0])
         with pytest.raises(ValueError, match=r"Psi\(x0\)=nan is NaN or below"):
-            run_bpg(prob, BpgConfig(x0=x0, lam=0.5, max_iters=5))
+            run_bpg(prob, BpgConfig(x0=np.array([1.0, 0.0]), lam=0.5, max_iters=5))
         # a step from a NaN Psi(x) is checked, not skipped like an infeasible one
         with pytest.raises(DecreaseViolationError):
-            bpg_step(prob, 0.5, x0)
+            _check_decrease(0.5, 1.0, np.nan, 0.5, 0.0)
 
     def test_random_qip_l1_guarantees(self):
         rng = np.random.default_rng(51)
@@ -352,7 +359,7 @@ class TestRunBpg:
         res = run_bpg(prob, BpgConfig(x0=rng.standard_normal(5), lam=lam, max_iters=50_000,
                                       tol_step=1e-14))
         # near-zero witness at termination: another step barely moves
-        x_again = bpg_step(prob, lam, res.x).x
+        x_again = one_step(prob, lam, res.x).x
         assert np.linalg.norm(x_again - res.x) <= 1e-8 * (1.0 + np.linalg.norm(res.x))
 
 
@@ -360,15 +367,16 @@ class TestSubgradientWitness:
     def test_fixed_point_gives_zero(self):
         prob = quadratic_problem([1.0, 2.0])
         x = np.array([1.0, 2.0])
-        np.testing.assert_allclose(bpg_step(prob, 0.5, x).witness, [0.0, 0.0])
+        assert one_step(prob, 0.5, x).trace.witness_norm[1] == 0.0
 
     def test_analytic_example(self):
         prob = quadratic_problem([0.0, 0.0])
         x0 = np.array([2.0, 0.0])
-        step = bpg_step(prob, 0.5, x0)
+        step = one_step(prob, 0.5, x0)
         np.testing.assert_allclose(step.x, [1.0, 0.0])
-        np.testing.assert_allclose(step.witness, [1.0, 0.0])
-        np.testing.assert_allclose(step.witness, prob.g_gradient(step.x))  # grad Psi(x1)
+        # the witness is grad Psi(x1) = x1, of norm 1
+        assert step.trace.witness_norm[1] == pytest.approx(1.0)
+        assert step.trace.witness_norm[1] == pytest.approx(linalg_norm(prob.g_gradient(step.x)))
 
 
 class TestMinGapBound:
@@ -396,6 +404,15 @@ class TestMinGapBound:
         trace.append(0, 1.0, 0.0, 0.0, np.nan, 0.0)
         with pytest.raises(ValueError):
             min_gap_bound(trace, 0.5, 1.0, 0.0)
+
+    @pytest.mark.parametrize("n", [2.0, 0, 4, "2"])
+    def test_n_must_be_an_integer_in_range(self, n):
+        prob = quadratic_problem([0.0, 0.0])
+        res = run_bpg(prob, BpgConfig(x0=np.array([1.0, 0.0]), lam=0.5, max_iters=3, tol_step=0.0))
+        with pytest.raises(ValueError, match=r"n must be an integer in \[1, 3\]"):
+            min_gap_bound(res.trace, 0.5, 1.0, 0.0, n=n)
+        assert min_gap_bound(res.trace, 0.5, 1.0, 0.0, n=np.int64(2)) == min_gap_bound(
+            res.trace, 0.5, 1.0, 0.0, n=2)
 
 
 class TestTrace:
