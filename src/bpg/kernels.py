@@ -1,11 +1,12 @@
 """The paper's kernel h(x) = 1/4 ||x||^4 + 1/2 ||x||^2 and its inverse gradient.
 
 :class:`Kernel` gives h, grad h and D_h (in closed form); ``step_terms``
-gives a solver step grad h, ||x||^2 and D_h in one call.  Its gradient
-grad h(x) = (||x||^2 + 1) x is radial, so (grad h)^{-1}(-v) = -t v, where t
-solves the paper's l1 cubic ||v||^2 t^3 + t = 1.  ``_radial_step`` takes that
-step with one :func:`cubic_root_l1` call, and both prox maps of
-:mod:`bpg.qip` end with it; :func:`cubic_root_l0` shares its closed form.
+gives a solver step grad h, ||x||^2, ||u||^2 and D_h in one call; each
+square sum is one BLAS dot.  Its gradient grad h(x) = (||x||^2 + 1) x is
+radial, so (grad h)^{-1}(-v) = -t v, where t solves the paper's l1 cubic
+||v||^2 t^3 + t = 1.  ``_radial_step`` takes that step with one
+:func:`cubic_root_l1` call, and both prox maps of :mod:`bpg.qip` end with
+it; :func:`cubic_root_l0` shares its closed form.
 """
 
 import math
@@ -48,13 +49,13 @@ class Kernel:
     def value(self, x):
         """h(x); scalar for a single point, 1-d array for a batch."""
         x = self._check(x)
-        sq = np.add.reduce(x * x, -1)
+        sq = _dot(x, x)
         return 0.25 * sq * sq + 0.5 * sq
 
     def gradient(self, x):
         """Analytic gradient (||x||^2 + 1) x, same shape as ``x``."""
         x = self._check(x)
-        return (np.add.reduce(x * x, -1)[..., None] + 1.0) * x
+        return np.expand_dims(_dot(x, x) + 1.0, -1) * x
 
     def bregman(self, x, y):
         """D_h(x, y) = h(x) - h(y) - <grad h(y), x - y>, in closed form.
@@ -64,22 +65,27 @@ class Kernel:
         so it is >= 0 in floating point, zero iff x == y, and within a few ulp.
         """
         y = self._check(y)
-        return _gap(self._check(x) - y, y, np.add.reduce(y * y, -1))
+        u = self._check(x) - y
+        return _gap(_dot(u, u), _dot(y, u), _dot(y, y))
 
     def step_terms(self, x, y, u, yy):
-        """(grad h(x), ||x||^2, D_h(x, y)) for a step u = x - y from y, given ||y||^2.
+        """(grad h(x), ||x||^2, ||u||^2, D_h(x, y)) for a step u = x - y from y, given ||y||^2.
 
-        The solver's one kernel call per point, unchecked (a start passes
-        y = x, u = 0); each term has the bits of ``gradient`` and ``bregman``.
+        The solver's one unchecked kernel call per point (a start passes y = x,
+        u = 0), with the bits of ``gradient``, ``value``'s ||x||^2 and ``bregman``.
         """
-        xx = np.add.reduce(x * x, -1)
-        return (xx + 1.0) * x, xx, _gap(u, y, yy)
+        xx, uu = _dot(x, x), _dot(u, u)
+        return (xx + 1.0) * x, xx, uu, _gap(uu, _dot(y, u), yy)
 
 
-def _gap(u, y, yy):
-    """D_h(y + u, y) in ``bregman``'s closed form, given ||y||^2 = yy."""
-    uu = np.add.reduce(u * u, -1)
-    cross = 2.0 * np.add.reduce(y * u, -1) + uu
+def _dot(a, b):
+    """<a, b> along the last axis, by BLAS: a float for one point, the same bits per batch row."""
+    return float(a.dot(b)) if a.ndim == 1 else np.vecdot(a, b)
+
+
+def _gap(uu, yu, yy):
+    """D_h(y + u, y) in ``bregman``'s closed form from ||u||^2, <y, u> and ||y||^2."""
+    cross = 2.0 * yu + uu
     return 0.5 * uu * (1.0 + yy) + 0.25 * cross * cross
 
 
@@ -96,16 +102,14 @@ def _coefficients(c):
     return c
 
 
-def _root_ratio(c):
-    """eta / c for the root eta of eta^3 + eta = c, c >= 0; it is 1 at c = 0.
+def _root_ratio(c, s):
+    """eta / c for the root eta of eta^3 + eta = c >= 0, given s = sqrt(c^2/4 + 1/27); 1 at c = 0.
 
-    Cardano gives eta = A - 1/(3A), A = cbrt(c/2 + hypot(c/2, 1/sqrt(27))),
-    and c = eta (1 + eta^2) makes the ratio 1 / (1 + eta^2).  The subtraction
-    loses digits only where eta^2 vanishes next to 1, so the ratio is within a
-    few ulp and monotone (the sum A^2 + 1/3 + 1/(9 A^2) wobbles by an ulp
-    there); hypot keeps c^2/4 finite.  Scalars and arrays get the same bits.
+    Cardano gives eta = A - 1/(3A), A = cbrt(c/2 + s), and c = eta (1 + eta^2)
+    makes the ratio 1 / (1 + eta^2), within a few ulp and monotone (eta loses
+    digits only where eta^2 vanishes next to 1), with the same bits for arrays.
     """
-    a = np.cbrt(0.5 * c + np.hypot(0.5 * c, 27.0 ** -0.5))
+    a = np.cbrt(0.5 * c + s)
     eta = a - 1.0 / (3.0 * a)
     return 1.0 / (1.0 + eta * eta)
 
@@ -113,21 +117,22 @@ def _root_ratio(c):
 def cubic_root_l0(c):
     """Unique nonnegative root eta of eta^3 + eta - c = 0 for c >= 0.
 
-    Accepts a scalar or an array.  eta = c * ``_root_ratio(c)``, and one Newton
-    step leaves it within a few ulp of the exact root at every magnitude.
+    Accepts a scalar or an array.  eta = c * ``_root_ratio``, with s a hypot,
+    as c^2/4 can overflow; one Newton step leaves it within a few ulp.
     """
     c = _coefficients(c)
-    eta = c * _root_ratio(c)
+    eta = c * _root_ratio(c, np.hypot(0.5 * c, 27.0 ** -0.5))
     return eta - (eta * eta * eta + eta - c) / (3.0 * eta * eta + 1.0)
 
 
 def cubic_root_l1(a):
     """Unique root t in (0, 1] of a*t^3 + t - 1 = 0 for a >= 0: the paper's l1 cubic.
 
-    eta = sqrt(a) * t solves eta^3 + eta = sqrt(a), so t = ``_root_ratio(sqrt(a))``,
-    and t = 1 at a = 0.  Accepts a scalar or an array.
+    eta = sqrt(a) * t solves eta^3 + eta = sqrt(a), so t = ``_root_ratio``; its
+    s = sqrt(a/4 + 1/27) is finite for every finite a.  Scalar or array.
     """
-    return _root_ratio(np.sqrt(_coefficients(a)))
+    a = _coefficients(a)
+    return _root_ratio(np.sqrt(a), np.sqrt(0.25 * a + 1.0 / 27.0))
 
 
 def _radial_step(v):

@@ -1,18 +1,19 @@
 """Bregman proximal gradient iteration engine with guarantee monitoring.
 
-:func:`run_bpg` iterates the step x+ = prox_map(lam * grad g(x) - grad h(x), lam)
-with a constant step 0 < lam * L < 1, with its inputs checked once.  A step
-makes one ``g_oracle`` call (g and grad g at x+) and one ``kernel.step_terms``
-call.  Every step is checked against the sufficient-decrease inequality
+:func:`run_bpg` iterates x+ = prox_map(p, lam) on the driver
+p = lam * grad g(x) - grad h(x), with a constant step 0 < lam * L < 1 and its
+inputs checked once.  A step makes one ``g_oracle`` call (g and grad g at x+)
+and one ``kernel.step_terms`` call, and forms the next driver.  Every step is
+checked against the sufficient-decrease inequality
 
     lam * Psi(x+) <= lam * Psi(x) - (1 - lam*L) * D_h(x+, x),
 
 a violation of which signals a wrong adaptability constant, a wrong prox map,
 or numerical breakdown, and aborts the run.  Every iterate, the start
 included, must pass the divergence guard.  The witness
-w = grad g(x+) - grad g(x) + (grad h(x) - grad h(x+)) / lam is an explicit
-subgradient of Psi at x+; the next step reuses both gradients.  The trace
-records Psi, the Bregman gap, the step norm and the witness norm.
+w = grad g(x+) - grad g(x) + (grad h(x) - grad h(x+)) / lam = (p+ - p) / lam
+is an explicit subgradient of Psi at x+.  The trace records Psi, D_h, the
+step norm and the witness norm.
 """
 
 import csv
@@ -20,6 +21,7 @@ import math
 import numbers
 import time
 import warnings
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -108,25 +110,24 @@ class IterateTrace:
     """Per-iteration solve record.
 
     Row k holds Psi(x_k), D_h(x_k, x_{k-1}), ||x_k - x_{k-1}||, the witness
-    norm ||w_k||, and elapsed wall-clock seconds.  Row 0 describes the start:
-    gaps are zero and the witness norm is NaN (undefined before a step).
+    norm ||w_k|| and elapsed wall-clock seconds, stored with k as six doubles.
+    Row 0 describes the start: gaps are zero and the witness norm is NaN.
     """
 
     COLUMNS = ("k", "psi", "dh_gap", "step_norm", "witness_norm", "elapsed_s")
 
     def __init__(self):
-        self._rows = []
+        self._values = array("d")
 
     def append(self, k, psi, dh_gap, step_norm, witness_norm, elapsed_s):
-        self._rows.append((int(k), float(psi), float(dh_gap), float(step_norm),
-                           float(witness_norm), float(elapsed_s)))
+        self._values.fromlist([k, psi, dh_gap, step_norm, witness_norm, elapsed_s])
 
     def __len__(self):
-        return len(self._rows)
+        return len(self._values) // len(self.COLUMNS)
 
     def column(self, name):
         i = self.COLUMNS.index(name)
-        return np.array([row[i] for row in self._rows])
+        return np.array(self._values[i::len(self.COLUMNS)])
 
     psi = property(lambda self: self.column("psi"))
     dh_gap = property(lambda self: self.column("dh_gap"))
@@ -143,8 +144,8 @@ class IterateTrace:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.COLUMNS[:-1])
-            for k, *values, _ in self._rows:
-                writer.writerow([k, *map(repr, values)])
+            for k, *values, _ in zip(*[iter(self._values)] * len(self.COLUMNS)):  # row by row
+                writer.writerow([int(k), *map(repr, values)])
 
 
 @dataclass
@@ -222,21 +223,6 @@ def _guard_iterate(x):  # returns ||x||
     return n
 
 
-def _step(problem, lam, L, x, psi, grad, grad_h, sq):
-    """T_lam(x) on checked inputs: x+, Psi(x+), grad g(x+), D_h(x+, x), the
-    witness norm, grad h(x+), the kernel's ||x+||^2, ||x+|| and ||x+ - x||."""
-    x_new = np.asarray(problem.prox_map(lam * grad - grad_h, lam), dtype=float)
-    norm = _guard_iterate(x_new)
-    g_new, grad_new = problem.g_oracle(x_new)
-    psi_new = float(problem.f_value(x_new)) + float(g_new)
-    u = x_new - x
-    grad_h_new, sq_new, dh = problem.kernel.step_terms(x_new, x, u, sq)
-    _check_decrease(lam, L, psi, psi_new, dh := float(dh))
-    _check_lower_bound(problem, psi_new, "Psi(x+)")
-    w = grad_new - grad + (grad_h - grad_h_new) / lam
-    return x_new, psi_new, grad_new, dh, _norm(w), grad_h_new, sq_new, norm, _norm(u)
-
-
 def run_bpg(problem, config):
     """Iterate x+ = T_lam(x) from ``config.x0`` until a stopping rule fires; returns a SolveResult.
 
@@ -254,7 +240,8 @@ def run_bpg(problem, config):
     x = config.x0.copy()
     _guard_iterate(x)
     g, grad = problem.g_oracle(x)
-    grad_h, sq, _ = problem.kernel.step_terms(x, x, np.zeros_like(x), 0.0)
+    grad_h, sq, _, _ = problem.kernel.step_terms(x, x, np.zeros_like(x), 0.0)
+    p = lam * grad - grad_h  # the driver; the next step's witness is (p+ - p) / lam
     psi = float(problem.f_value(x)) + float(g)
     _check_lower_bound(problem, psi, "Psi(x0)")
 
@@ -265,8 +252,16 @@ def run_bpg(problem, config):
     reason = MAX_ITERS
 
     for k in range(1, config.max_iters + 1):
-        x, psi, grad, dh, wnorm, grad_h, sq, norm, step_norm = _step(problem, lam, L, x, psi, grad,
-                                                                     grad_h, sq)
+        x_new = np.asarray(problem.prox_map(p, lam), dtype=float)
+        norm = _guard_iterate(x_new)
+        g, grad = problem.g_oracle(x_new)
+        psi_new = float(problem.f_value(x_new)) + float(g)
+        grad_h, sq, uu, dh = problem.kernel.step_terms(x_new, x, x_new - x, sq)
+        _check_decrease(lam, L, psi, psi_new, dh := float(dh))
+        _check_lower_bound(problem, psi_new, "Psi(x+)")
+        p_new = lam * grad - grad_h
+        wnorm, step_norm = _norm(p_new - p) / lam, math.sqrt(uu)
+        x, psi, p = x_new, psi_new, p_new
         trace.append(k, psi, dh, step_norm, wnorm, time.perf_counter() - t0)
         if iterates is not None:
             iterates.append(x.copy())

@@ -6,12 +6,12 @@ spectral norms come from a dense eigendecomposition, adaptability constants from
 the measurement matrices rather than a Gram product, scalar roots from plain
 bisection, and prox maps from grid refinement / support enumeration on the
 defining objectives.  The kernel value and gradient and the vector norm are
-the exception: they are written with numpy's ``np.sum`` and
-``np.linalg.norm`` wrappers, and the library's per-iteration code, which
-calls the ufuncs directly, must match them bit for bit; D_h is compared with
-exact rational arithmetic instead.  The reference loop is the other
-exception: it takes the library's own prox and its formula for the prox
-input p, and forms p afresh from each iterate.
+the exception: they are written with ``@`` on stacked row and column vectors
+and with ``np.linalg.norm``, and the library's per-iteration code, which
+takes each square sum as one BLAS dot, must match them bit for bit; h, grad h
+and D_h are also compared with exact rational arithmetic.  The reference
+loop is the other exception: it takes the library's own prox and its formula
+for the prox input p, and forms p afresh from each iterate.
 """
 
 from fractions import Fraction
@@ -68,15 +68,33 @@ def bisect_root(f, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
-def sum_kernel_value(x):
+def _matmul_square(x):
+    """||x||^2 along the last axis, kept as a trailing axis, from x (1, d) @ x (d, 1)."""
+    return (x[..., None, :] @ x[..., :, None])[..., 0]
+
+
+def matmul_kernel_value(x):
     """h(x) = 1/4 ||x||^4 + 1/2 ||x||^2 along the last axis."""
-    sq = np.sum(x * x, axis=-1)
+    sq = _matmul_square(x)[..., 0]
     return 0.25 * sq * sq + 0.5 * sq
 
 
-def sum_kernel_gradient(x):
+def matmul_kernel_gradient(x):
     """grad h(x) = (||x||^2 + 1) x along the last axis."""
-    return (np.sum(x * x, axis=-1, keepdims=True) + 1.0) * x
+    return (_matmul_square(x) + 1.0) * x
+
+
+def fraction_kernel_value(x):
+    """h(x) of one vector, exactly, as a Fraction."""
+    sx = sum(Fraction(float(v)) ** 2 for v in x)
+    return sx * sx / 4 + sx / 2
+
+
+def fraction_kernel_gradient(x):
+    """grad h(x) of one vector, exactly, as a list of Fractions."""
+    x = [Fraction(float(v)) for v in x]
+    sx = sum(v * v for v in x)
+    return [(sx + 1) * v for v in x]
 
 
 def fraction_kernel_bregman(x, y):
@@ -115,8 +133,9 @@ class EnergyKernel:
         return 0.5 * np.sum((x - y) ** 2, axis=-1)
 
     def step_terms(self, x, y, u, yy):
-        """(grad h(x), ||x||^2, D_h(x, y)) for u = x - y, as ``Kernel.step_terms``."""
-        return self.gradient(x), np.sum(x * x, axis=-1), 0.5 * np.sum(u ** 2, axis=-1)
+        """(grad h(x), ||x||^2, ||u||^2, D_h(x, y)) for u = x - y, as ``Kernel.step_terms``."""
+        uu = np.sum(u * u, axis=-1)
+        return self.gradient(x), np.sum(x * x, axis=-1), uu, 0.5 * uu
 
 
 def linalg_norm(v):

@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import EnergyKernel, fraction_kernel_bregman, sum_kernel_gradient, sum_kernel_value
+from oracles import (EnergyKernel, fraction_kernel_bregman, fraction_kernel_gradient,
+                     fraction_kernel_value, matmul_kernel_gradient, matmul_kernel_value)
 
 from bpg import Kernel
 from bpg.kernels import _radial_step
@@ -18,11 +19,15 @@ def bregman_from_definition(value, gradient, x, y):
     return value(x) - value(y) - np.dot(gradient(y), x - y)
 
 
+def assert_near_exact(value, exact, ulps=4):
+    """``value`` is within ``ulps`` relative ulp of the exact Fraction ``exact``."""
+    assert abs(Fraction(float(value)) - exact) <= ulps * Fraction(np.finfo(float).eps) * abs(exact)
+
+
 def assert_within_ulps(values, x, y, ulps=4):
     """Each D_h value is within ``ulps`` relative ulp of the exact D_h(x, y)."""
     for v, xi, yi in zip(np.atleast_1d(values), np.atleast_2d(x), np.atleast_2d(y)):
-        exact = fraction_kernel_bregman(xi, yi)
-        assert abs(Fraction(float(v)) - exact) <= ulps * Fraction(np.finfo(float).eps) * exact
+        assert_near_exact(v, fraction_kernel_bregman(xi, yi), ulps)
 
 
 class TestValues:
@@ -161,19 +166,46 @@ class TestBregman:
                 k.bregman(x, y)
 
 
+def scaled_rows(d):
+    """16 rows x from 1e-3 to 1e3 in norm, so that the quartic term ranges
+    from negligible to dominant, and 16 rows y of norm about sqrt(d)."""
+    rng = np.random.default_rng(d)
+    scale = np.geomspace(1e-3, 1e3, 16)[:, None]
+    return scale * rng.standard_normal((16, d)), rng.standard_normal((16, d))
+
+
 @pytest.mark.parametrize("make", [Kernel.quartic])
 @pytest.mark.parametrize("d", [3, 8, 64])
-def test_matches_np_sum_forms_bit_for_bit(make, d):
+def test_matches_matmul_forms_bit_for_bit(make, d):
+    # each square sum is one BLAS dot, which gives the bits of @ on a
+    # (1, d) row and a (d, 1) column; every value is also within 4 ulp of
+    # the exact one
     k = make(d)
-    rng = np.random.default_rng(d)
-    # rows from 1e-3 to 1e3 in norm, so the quartic term ranges from
-    # negligible to dominant
-    scale = np.geomspace(1e-3, 1e3, 16)[:, None]
-    xs, ys = scale * rng.standard_normal((16, d)), rng.standard_normal((16, d))
+    xs, ys = scaled_rows(d)
     for x, y in [*zip(xs, ys), (xs, ys)]:
-        assert_same_bits(k.value(x), sum_kernel_value(x))
-        assert_same_bits(k.gradient(x), sum_kernel_gradient(x))
+        assert_same_bits(k.value(x), matmul_kernel_value(x))
+        assert_same_bits(k.gradient(x), matmul_kernel_gradient(x))
         assert_within_ulps(k.bregman(x, y), x, y)
+    for x in xs:
+        assert_near_exact(k.value(x), fraction_kernel_value(x))
+        for gi, exact in zip(k.gradient(x), fraction_kernel_gradient(x)):
+            assert_near_exact(gi, exact)
+
+
+@pytest.mark.parametrize("d", [3, 8, 64])
+def test_step_terms_match_the_public_methods(d):
+    # the solver's one kernel call per step, fed ||y||^2 from the previous
+    # call as the loop feeds it, gives the bits of the public methods
+    k = Kernel.quartic(d)
+    xs, ys = scaled_rows(d)
+    for x, y in [*zip(xs, ys), *zip(ys, xs)]:
+        yy = k.step_terms(y, y, np.zeros(d), 0.0)[1]
+        u = x - y
+        grad, xx, uu, dh = k.step_terms(x, y, u, yy)
+        assert_same_bits(grad, k.gradient(x))
+        assert_same_bits(dh, k.bregman(x, y))
+        assert_same_bits(0.25 * xx * xx + 0.5 * xx, k.value(x))
+        assert_same_bits(uu, (u[None, :] @ u[:, None])[0, 0])
 
 
 def test_kernel_is_immutable():

@@ -240,7 +240,7 @@ def small_instance(kind, seed, regularizer=None):
 
 
 def matmul_oracle(inst, x):
-    """g and grad g with every product through @, as for a batch."""
+    """g and grad g with every product through @; r . r is a stack of (1, m) @ (m, 1)."""
     if inst.factors is not None:
         ax = x @ inst.factors.T
         r = ax * ax - inst.b
@@ -249,7 +249,7 @@ def matmul_oracle(inst, x):
         rows, cols = np.tril_indices(inst.d)
         r = (x[..., rows] * x[..., cols] * np.where(rows == cols, 1.0, 2.0)) @ inst.lower.T - inst.b
         grad = ((r @ inst.lower)[..., inst._unpack] @ x[..., None])[..., 0]
-    return 0.25 * np.add.reduce(r * r, -1), grad
+    return 0.25 * (r[..., None, :] @ r[..., :, None])[..., 0, 0], grad
 
 
 def caller_data_instance(kind, seed):

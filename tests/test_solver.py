@@ -24,6 +24,7 @@ from bpg import (
 )
 import bpg.kernels
 import bpg.qip
+from bpg.qip import p_lambda
 from bpg.solver import DIVERGENCE_NORM, _check_decrease, _guard_iterate, _norm
 
 
@@ -343,10 +344,18 @@ class TestRunBpg:
                                       tol_step=0.0, keep_iterates=True))
         it, h = res.iterates, prob.kernel
         assert res.iterations == 200
+        # the drivers p_k = lam grad g(x_k) - grad h(x_k), formed afresh
+        p = [p_lambda(inst, h, lam, x) for x in it]
+        eps = np.finfo(float).eps
         for k in range(1, len(it)):
-            w = (prob.g_gradient(it[k]) - prob.g_gradient(it[k - 1])
-                 + (h.gradient(it[k - 1]) - h.gradient(it[k])) / lam)
-            assert res.trace.witness_norm[k] == linalg_norm(w)
+            # the witness w is (p_k - p_{k-1}) / lam, and its norm is taken so
+            assert res.trace.witness_norm[k] == linalg_norm(p[k] - p[k - 1]) / lam
+            # and within rounding of the norm of w as defined
+            grads = [prob.g_gradient(it[k]), prob.g_gradient(it[k - 1])]
+            grads_h = [h.gradient(it[k]), h.gradient(it[k - 1])]
+            w = grads[0] - grads[1] + (grads_h[1] - grads_h[0]) / lam
+            scale = sum(map(linalg_norm, grads_h)) / lam + sum(map(linalg_norm, grads))
+            assert abs(res.trace.witness_norm[k] - linalg_norm(w)) <= 4 * eps * scale
             assert res.trace.step_norm[k] == linalg_norm(it[k] - it[k - 1])
             # the loop's D_h takes ||x_{k-1}||^2 from the previous kernel call
             assert res.trace.dh_gap[k] == h.bregman(it[k], it[k - 1])
