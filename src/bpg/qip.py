@@ -156,19 +156,19 @@ class QipInstance:
         w = ||a_i||^2 and w = b.  sum_i b_i A_i is b @ lower, unpacked.
         """
         try:
-            if self.factors is not None:
-                F = self.factors
-                weights = np.array([np.einsum("ij,ij->i", F, F), self.b])
-                pair = F.T @ (weights[:, :, None] * F)
-            else:
-                squares = np.zeros((self.d, self.d))
-                for i in range(0, self.m, _GRAM_BLOCK):
-                    rows = self.lower[i:i + _GRAM_BLOCK].take(self._unpack, axis=1).reshape(-1, self.d)
-                    squares += rows.T @ rows
-                pair = np.array([squares, (self.b @ self.lower)[self._unpack]])
-            gram, data = np.linalg.eigvalsh(pair).tolist()
-        except (RuntimeWarning, np.linalg.LinAlgError):
-            # the warning when warnings are errors; otherwise eigvalsh fails on the inf
+            with np.errstate(over="raise", invalid="raise"):  # not under: tiny data is no overflow
+                if self.factors is not None:
+                    F = self.factors
+                    weights = np.array([np.einsum("ij,ij->i", F, F), self.b])
+                    pair = F.T @ (weights[:, :, None] * F)
+                else:
+                    squares = np.zeros((self.d, self.d))
+                    for i in range(0, self.m, _GRAM_BLOCK):
+                        rows = self.lower[i:i + _GRAM_BLOCK].take(self._unpack, axis=1).reshape(-1, self.d)
+                        squares += rows.T @ rows
+                    pair = np.array([squares, (self.b @ self.lower)[self._unpack]])
+                gram, data = np.linalg.eigvalsh(pair).tolist()
+        except (FloatingPointError, np.linalg.LinAlgError):
             raise ValueError("the measurement data overflow float64 in the certificate") from None
         L = max(3.0 * gram[-1], -data[0], data[-1])
         if not L > 0:

@@ -95,9 +95,9 @@ def check_descent_lemma(g_value, g_gradient, kernel, L, xs, ys):
     """Verify the extended descent bound on sampled point pairs.
 
     ``g_value`` and ``g_gradient`` must accept batched input of shape (n, d);
-    they and the kernel see at most ``PAIR_BLOCK`` pairs per call.  Returns a
-    :class:`DescentReport`; it never raises on a failed bound.  Raises
-    ValueError when the samples differ in shape, are empty or are not finite.
+    they and the kernel see at most ``PAIR_BLOCK`` pairs per call, under numpy's
+    ``errstate(all="ignore")``: an overflow is a NaN margin.  Returns a report
+    even on a failed bound; raises ValueError on unequal, empty or non-finite samples.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
@@ -108,12 +108,13 @@ def check_descent_lemma(g_value, g_gradient, kernel, L, xs, ys):
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise ValueError("sample points must be finite")
     margins, slacks = [], []
-    for start in range(0, len(xs), PAIR_BLOCK):
-        x, y = xs[start:start + PAIR_BLOCK], ys[start:start + PAIR_BLOCK]
-        dh = np.atleast_1d(kernel.bregman(x, y))
-        dg = np.atleast_1d(g_value(x) - g_value(y) - np.sum(g_gradient(y) * (x - y), axis=-1))
-        margins.append(L * dh - np.abs(dg))
-        slacks.append(_DESCENT_SLACK * (1.0 + np.abs(dg) + L * dh))
+    with np.errstate(all="ignore"):  # an overflowing pair gets a NaN margin, a violation
+        for start in range(0, len(xs), PAIR_BLOCK):
+            x, y = xs[start:start + PAIR_BLOCK], ys[start:start + PAIR_BLOCK]
+            dh = np.atleast_1d(kernel.bregman(x, y))
+            dg = np.atleast_1d(g_value(x) - g_value(y) - np.sum(g_gradient(y) * (x - y), axis=-1))
+            margins.append(L * dh - np.abs(dg))
+            slacks.append(_DESCENT_SLACK * (1.0 + np.abs(dg) + L * dh))
     margins = np.concatenate(margins)
     bad = ~(margins >= -np.concatenate(slacks))
     return DescentReport(

@@ -9,18 +9,18 @@ checked against the sufficient-decrease inequality
     lam * Psi(x+) <= lam * Psi(x) - (1 - lam*L) * D_h(x+, x),
 
 a violation of which signals a wrong adaptability constant, a wrong prox map,
-or numerical breakdown, and aborts the run.  Every iterate, the start
-included, must pass the divergence guard.  The witness
-w = grad g(x+) - grad g(x) + (grad h(x) - grad h(x+)) / lam = (p+ - p) / lam
-is an explicit subgradient of Psi at x+.  The trace records Psi, D_h, the
-step norm and the witness norm.
+or numerical breakdown, and aborts the run.  Every iterate must pass the
+divergence guard, and every driver must be finite; the run sets numpy's
+floating-point state itself, so an overflow is an inf or NaN for these checks,
+whatever the caller's warning filters.  The witness (p+ - p) / lam =
+grad g(x+) - grad g(x) + (grad h(x) - grad h(x+)) / lam is a subgradient of
+Psi at x+.  The trace records Psi, D_h, the step norm and the witness norm.
 """
 
 import csv
 import math
 import numbers
 import time
-import warnings
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -60,9 +60,6 @@ class Problem:
     kernel: object
     smad: object
     psi_lower_bound: float = 0.0
-
-    def g_value(self, x):
-        return self.g_oracle(x)[0]
 
     def g_gradient(self, x):
         return self.g_oracle(x)[1]
@@ -178,8 +175,10 @@ class SolveResult:
 
 
 def _check_decrease(lam, L, psi_x, psi_new, dh):
-    if psi_x == math.inf:
-        return  # infeasible start: the inequality is vacuous
+    if psi_x == math.inf:  # vacuous only for the step out of an infeasible start onto a finite Psi
+        if psi_new < math.inf:
+            return
+        raise DecreaseViolationError("Psi stayed +inf after a step: the step missed dom f, or g overflows")
     slack = lam * DECREASE_SLACK * (1.0 + abs(psi_x))  # at the scale of each side
     # negated, so that a NaN on either side (or in D_h) is a violation too
     if not lam * psi_new <= lam * psi_x - (1.0 - lam * L) * dh + slack:
@@ -199,25 +198,16 @@ def _check_lower_bound(problem, psi, name):
         )
 
 
-# _norm rescales where v.dot(v) overflows a finite v, so numpy's warning about
-# it is noise.  Appended, so a -W or pytest "error" filter still wins.
-warnings.filterwarnings("ignore", "overflow encountered in dot", RuntimeWarning,
-                        __name__, append=True)
-
-
 def _norm(v):
-    """math.sqrt(v.dot(v)), rescaled by max |v_i| only where that overflows a finite v."""
-    try:
-        n = math.sqrt(v.dot(v))
-    except RuntimeWarning:  # the overflow, where warnings are errors
-        n = math.inf
+    """sqrt(v.dot(v)), rescaled by max |v_i| where that overflows a finite v; under ``run_bpg``'s errstate."""
+    n = math.sqrt(v.dot(v))
     if n == math.inf:  # a NaN entry makes the norm NaN, an inf one inf
         s = float(np.abs(v).max())
         n = s * math.sqrt((v / s).dot(v / s)) if s < math.inf else s
     return n
 
 
-def _guard_iterate(x):  # returns ||x||
+def _guard_iterate(x):  # returns ||x||; under run_bpg's errstate, an overflow is an inf
     if not (n := _norm(x)) <= DIVERGENCE_NORM:
         raise DivergenceError(f"iterate norm {n:.3e} is not finite or exceeds {DIVERGENCE_NORM:.0e}")
     return n
@@ -230,47 +220,51 @@ def run_bpg(problem, config):
     tol_step=0.0))``.  Raises ValueError unless 0 < lam*L < 1, where Psi(x0)
     is NaN, and where a Psi is below ``problem.psi_lower_bound``.  Raises
     :class:`DivergenceError` where an iterate, the start included, is past the
-    divergence guard, and :class:`DecreaseViolationError` where a step breaks
-    the decrease inequality; a NaN or infinite Psi(x+) after a finite Psi(x)
-    does, and only an infeasible x (Psi(x) = +inf) makes it vacuous.
-    Reaching ``max_iters`` is a reported reason, not an error.
+    guard, or a driver or witness norm is not finite (grad g overflows); and
+    :class:`DecreaseViolationError` where a step breaks the decrease inequality,
+    a non-finite Psi(x+) included: it is vacuous only for a step from Psi = +inf
+    (an infeasible x) onto a finite Psi.  ``max_iters`` is a reason, not an error.
     """
     L = problem.smad.L
     lam = resolve_step(config.lam, L)
-    x = config.x0.copy()
-    _guard_iterate(x)
-    g, grad = problem.g_oracle(x)
-    grad_h, sq, _, _ = problem.kernel.step_terms(x, x, np.zeros_like(x), 0.0)
-    p = lam * grad - grad_h  # the driver; the next step's witness is (p+ - p) / lam
-    psi = float(problem.f_value(x)) + float(g)
-    _check_lower_bound(problem, psi, "Psi(x0)")
+    with np.errstate(all="ignore"):  # an overflow is an inf or NaN, which the checks catch
+        x = config.x0.copy()
+        _guard_iterate(x)
+        g, grad = problem.g_oracle(x)
+        grad_h, sq, _, _ = problem.kernel.step_terms(x, x, np.zeros_like(x), 0.0)
+        if not _norm(p := lam * grad - grad_h) < math.inf:  # the driver; a witness is (p+ - p) / lam
+            raise DivergenceError("the driver lam*grad g - grad h is not finite: g overflows at the start")
+        psi = float(problem.f_value(x)) + float(g)
+        _check_lower_bound(problem, psi, "Psi(x0)")
 
-    trace = IterateTrace()
-    trace.append(0, psi, 0.0, 0.0, math.nan, 0.0)
-    iterates = [x.copy()] if config.keep_iterates else None
-    t0 = time.perf_counter()
-    reason = MAX_ITERS
+        trace = IterateTrace()
+        trace.append(0, psi, 0.0, 0.0, math.nan, 0.0)
+        iterates = [x.copy()] if config.keep_iterates else None
+        t0 = time.perf_counter()
+        reason = MAX_ITERS
 
-    for k in range(1, config.max_iters + 1):
-        x_new = np.asarray(problem.prox_map(p, lam), dtype=float)
-        norm = _guard_iterate(x_new)
-        g, grad = problem.g_oracle(x_new)
-        psi_new = float(problem.f_value(x_new)) + float(g)
-        grad_h, sq, uu, dh = problem.kernel.step_terms(x_new, x, x_new - x, sq)
-        _check_decrease(lam, L, psi, psi_new, dh := float(dh))
-        _check_lower_bound(problem, psi_new, "Psi(x+)")
-        p_new = lam * grad - grad_h
-        wnorm, step_norm = _norm(p_new - p) / lam, math.sqrt(uu)
-        x, psi, p = x_new, psi_new, p_new
-        trace.append(k, psi, dh, step_norm, wnorm, time.perf_counter() - t0)
-        if iterates is not None:
-            iterates.append(x.copy())
-        if step_norm <= config.tol_step * (1.0 + norm):
-            reason = STEP_TOLERANCE
-            break
-        if config.tol_residual is not None and wnorm <= config.tol_residual:
-            reason = RESIDUAL_TOLERANCE
-            break
+        for k in range(1, config.max_iters + 1):
+            x_new = np.asarray(problem.prox_map(p, lam), dtype=float)
+            norm = _guard_iterate(x_new)
+            g, grad = problem.g_oracle(x_new)
+            psi_new = float(problem.f_value(x_new)) + float(g)
+            grad_h, sq, uu, dh = problem.kernel.step_terms(x_new, x, x_new - x, sq)
+            _check_decrease(lam, L, psi, psi_new, dh := float(dh))
+            _check_lower_bound(problem, psi_new, "Psi(x+)")
+            p_new = lam * grad - grad_h
+            wnorm, step_norm = _norm(p_new - p) / lam, math.sqrt(uu)
+            if not wnorm < math.inf:  # before the next prox, which needs a finite driver
+                raise DivergenceError(f"witness norm {wnorm} at iterate {k}: grad g or (p+ - p)/lam overflow")
+            x, psi, p = x_new, psi_new, p_new
+            trace.append(k, psi, dh, step_norm, wnorm, time.perf_counter() - t0)
+            if iterates is not None:
+                iterates.append(x.copy())
+            if step_norm <= config.tol_step * (1.0 + norm):
+                reason = STEP_TOLERANCE
+                break
+            if config.tol_residual is not None and wnorm <= config.tol_residual:
+                reason = RESIDUAL_TOLERANCE
+                break
 
     return SolveResult(x, trace, reason, np.array(iterates) if iterates is not None else None)
 

@@ -395,7 +395,8 @@ class TestSolve:
 
     def test_norms_past_the_float64_square_stay_finite(self, tmp_path):
         # entries of about 1e150 certify a finite L* = 1.1e303, but the witness's
-        # square sum overflows; under this suite's error filter numpy's dot raises
+        # square sum overflows; run_bpg's floating-point state makes it an inf,
+        # which the norm rescales
         path = tmp_path / "inst.json"
         inst = random_dense_instance(np.random.default_rng(5), 16, 32, scale=1e150)
         save_instance(instance_to_payload(inst), path)
@@ -405,19 +406,6 @@ class TestSolve:
         for name in ("summary_000.json", "best.json"):
             report = json.loads((out / name).read_text(), parse_constant=reject)
             assert 0 < report["final_witness_norm"] < math.inf
-
-    def test_norm_overflow_prints_no_warning(self, tmp_path):
-        # the same solve in an interpreter with no warning filter of its own
-        path = tmp_path / "inst.json"
-        inst = random_dense_instance(np.random.default_rng(5), 16, 32, scale=1e150)
-        save_instance(instance_to_payload(inst), path)
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
-        proc = subprocess.run([sys.executable, "-m", "bpg.cli", "solve", "--instance", str(path),
-                               "--max-iters", "20", "--out", str(tmp_path / "run")],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0
-        assert proc.stderr == ""
 
     def test_missing_instance(self, tmp_path, capsys):
         code = main(["solve", "--instance", str(tmp_path / "nope.json"),
@@ -549,6 +537,39 @@ class TestExitCodes:
         assert code == 4
         stdout = capsys.readouterr().out
         assert stdout.startswith("FAIL: ") and "violations=2000," in stdout
+
+    @pytest.mark.parametrize("case", ["norm-overflow", "overflowing-start", "overflowing-check"])
+    def test_same_outcome_whatever_the_warning_filter(self, tmp_path, case):
+        # each case runs in a fresh interpreter, once with no warning filter and
+        # once with RuntimeWarning an error: the program sets numpy's
+        # floating-point state itself, so both runs exit alike, print the same
+        # lines, write the same strict-JSON files and print no warning
+        d, m, scale, args, code = {
+            # entries 1e150: the witness's square sum overflows; exit 0
+            "norm-overflow": (16, 32, 1e150, ["solve", "--max-iters", "20"], 0),
+            # entries 1e152: g overflows at start 2, which fails; exit 3
+            "overflowing-start": (16, 32, 1e152, ["solve", "--starts", "3", "--max-iters", "20"], 3),
+            # pairs at radius 1e80: the margins overflow to NaN, and the audit fails; exit 4
+            "overflowing-check": (8, 16, 1.0, ["check", "--radius", "1e80"], 4),
+        }[case]
+        path = tmp_path / "inst.json"
+        inst = random_dense_instance(np.random.default_rng(5), d, m, scale=scale)
+        save_instance(instance_to_payload(inst), path)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        runs = []
+        for flags in ([], ["-W", "error::RuntimeWarning"]):
+            out = tmp_path / f"run{len(runs)}"
+            argv = [*args, "--instance", str(path), *(["--out", str(out)] if args[0] == "solve" else [])]
+            proc = subprocess.run([sys.executable, *flags, "-m", "bpg.cli", *argv],
+                                  capture_output=True, text=True, env=env)
+            assert (proc.returncode, proc.stderr) == (code, "")
+            files = {p.name: p.read_text() for p in sorted(out.glob("*"))}
+            for name, text in files.items():
+                if name.endswith(".json"):
+                    json.loads(text, parse_constant=reject)
+            runs.append((proc.stdout, files))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("verb", [["check"], ["solve", "--out", "run"]], ids=["check", "solve"])
     @pytest.mark.parametrize("kind", ["dense", "rank-one"])

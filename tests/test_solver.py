@@ -106,8 +106,8 @@ class TestBpgStep:
     @pytest.mark.parametrize("bad", [
         [np.nan, 0.0],
         [np.inf, 0.0],
-        # finite, but the square sum overflows: numpy's dot warns, and the
-        # warning is an error under this suite's filter
+        # finite, but the square sum overflows: run_bpg's floating-point
+        # state makes it an inf, which the guard rescales
         [1e200, 1e200],
         [DIVERGENCE_NORM * (1.0 + 1e-12), 0.0],
     ], ids=["nan", "inf", "square-overflow", "past-guard"])
@@ -190,8 +190,8 @@ class TestRunBpg:
     @pytest.mark.parametrize("scale", [1e13, 1e60, 1e100])
     def test_start_past_the_guard_is_divergence(self, scale):
         # the start meets the iterates' guard before any oracle call; at 1e60
-        # and 1e100 its square sum overflows, and this suite's filter makes
-        # numpy's overflow warning an error
+        # and 1e100 its square sum overflows, which run_bpg's floating-point
+        # state makes an inf, not a warning
         rng = np.random.default_rng(61)
         inst = random_dense_instance(rng, d=4, m=6, regularizer=L1(theta=0.1))
         prob = make_problem(inst)
@@ -204,9 +204,9 @@ class TestRunBpg:
         assert calls == []
 
     def test_square_sum_overflow_is_divergence(self):
-        # under this suite's error filter for RuntimeWarning, numpy's dot
-        # raises its overflow warning; the guard must still report divergence
-        with pytest.raises(DivergenceError):
+        # the guard runs under run_bpg's floating-point state, in which the
+        # overflow of numpy's dot is an inf; it must report divergence
+        with pytest.raises(DivergenceError), np.errstate(over="ignore"):
             _guard_iterate(np.full(8, 1e200))
         prob = quadratic_problem([0.0, 0.0])
         prob.prox_map = lambda x, lam: np.full(2, 1e200)
@@ -216,11 +216,40 @@ class TestRunBpg:
     def test_norm_rescales_only_where_the_square_sum_overflows(self):
         v = np.random.default_rng(58).standard_normal(8)
         assert _norm(v) == math.sqrt(v.dot(v))
-        # under this suite's error filter the dot raises; the norm is still finite
-        assert _norm(1e200 * v) == pytest.approx(1e200 * linalg_norm(v), rel=1e-15)
-        assert _norm(np.array([np.inf, 1.0])) == math.inf
-        assert math.isnan(_norm(np.array([np.nan, 1e200])))
-        assert math.isnan(_norm(np.array([np.nan, np.inf])))
+        # under run_bpg's floating-point state the dot's overflow is an inf;
+        # the norm is still finite
+        with np.errstate(over="ignore"):
+            assert _norm(1e200 * v) == pytest.approx(1e200 * linalg_norm(v), rel=1e-15)
+            assert _norm(np.array([np.inf, 1.0])) == math.inf
+            assert math.isnan(_norm(np.array([np.nan, 1e200])))
+            assert math.isnan(_norm(np.array([np.nan, np.inf])))
+
+    @pytest.mark.parametrize("norm", [1e3, 1e6])
+    def test_overflowing_gradient_is_divergence(self, norm):
+        # entries of about 1e150: g and grad g overflow at a start well within
+        # the guard, so the driver that the prox would take is not finite
+        rng = np.random.default_rng(5)
+        prob = make_problem(random_dense_instance(rng, 16, 32, scale=1e150))
+        v = rng.standard_normal(16)
+        with pytest.raises(DivergenceError, match="driver .* is not finite"):
+            run_bpg(prob, BpgConfig(x0=norm * v / linalg_norm(v), max_iters=5))
+
+    def test_overflowing_witness_is_divergence(self):
+        # grad g is finite at the start and inf after the first step
+        prob = quadratic_problem([0.0, 0.0])
+        g = prob.g_oracle
+        prob.g_oracle = lambda x: (g(x)[0], g(x)[1] if x[0] > 1.5 else np.full(2, np.inf))
+        with pytest.raises(DivergenceError, match="witness norm inf at iterate 1"):
+            run_bpg(prob, BpgConfig(x0=np.array([2.0, 0.0]), lam=0.5, max_iters=5))
+
+    def test_psi_that_stays_infinite_is_a_decrease_violation(self):
+        # g is +inf everywhere, as where it overflows: Psi(x0) = +inf, and the
+        # step onto a Psi that is still +inf is checked, not skipped
+        prob = quadratic_problem([0.0, 0.0])
+        g = prob.g_oracle
+        prob.g_oracle = lambda x: (math.inf, g(x)[1])
+        with pytest.raises(DecreaseViolationError, match=r"Psi stayed \+inf after a step"):
+            one_step(prob, 0.5, np.array([2.0, 0.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_psi_after_a_step_is_a_decrease_violation(self, bad):
