@@ -120,15 +120,14 @@ def save_instance(payload, path):
 
 
 def load_instance(path):
-    """Read an instance file; returns (instance, x_true-or-None)."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    """Read an instance file; returns (instance, x_true-or-None).  A bad file is a ValueError naming it."""
     try:
+        with open(path, encoding="utf-8") as fh:  # not the locale's encoding
+            payload = json.load(fh)
         return payload_to_instance(payload)
-    except ValueError as exc:
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -156,15 +155,16 @@ def generate_instance(d, m, s_true, noise, seed, kind=RANK_ONE, regularizer=None
         regularizer = L0Ball(s=s_true)
     if kind == RANK_ONE:
         factors = rng.standard_normal((m, d))
-        clean = (factors @ x_true) ** 2
-        b = clean + noise * rng.standard_normal(m)
-        inst = QipInstance(b=b, regularizer=regularizer, factors=factors)
+        clean, data = (factors @ x_true) ** 2, {"factors": factors}
     else:
         raw = rng.standard_normal((m, d, d))
         matrices = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
-        clean = np.einsum("i,mij,j->m", x_true, matrices, x_true)
+        clean, data = np.einsum("i,mij,j->m", x_true, matrices, x_true), {"matrices": matrices}
+    with np.errstate(over="ignore"):  # an overflow is an inf, refused below
         b = clean + noise * rng.standard_normal(m)
-        inst = QipInstance(b=b, regularizer=regularizer, matrices=matrices)
+    if not np.isfinite(b).all():
+        raise ValueError(f"noise level {noise} overflows float64 in the measurements b")
+    inst = QipInstance(b=b, regularizer=regularizer, **data)
     if noise == 0:
         assert qip_value(inst, x_true) <= 1e-20
     return instance_to_payload(inst, x_true), inst, x_true

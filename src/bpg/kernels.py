@@ -38,23 +38,15 @@ class Kernel:
     def quartic(cls, dimension):
         return cls(dimension)
 
-    def _check(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.dimension,):
-            raise ValueError(
-                f"point has trailing dimension {x.shape[-1:]}, kernel expects ({self.dimension},)"
-            )
-        return x
-
     def value(self, x):
         """h(x); scalar for a single point, 1-d array for a batch."""
-        x = self._check(x)
+        x = _point(x, self.dimension, "kernel")
         sq = _dot(x, x)
         return 0.25 * sq * sq + 0.5 * sq
 
     def gradient(self, x):
         """Analytic gradient (||x||^2 + 1) x, same shape as ``x``."""
-        x = self._check(x)
+        x = _point(x, self.dimension, "kernel")
         return np.expand_dims(_dot(x, x) + 1.0, -1) * x
 
     def bregman(self, x, y):
@@ -64,8 +56,8 @@ class Kernel:
         a sum of nonnegative terms: no difference of nearly equal values of h,
         so it is >= 0 in floating point, zero iff x == y, and within a few ulp.
         """
-        y = self._check(y)
-        u = self._check(x) - y
+        y = _point(y, self.dimension, "kernel")
+        u = _point(x, self.dimension, "kernel") - y
         return _gap(_dot(u, u), _dot(y, u), _dot(y, y))
 
     def step_terms(self, x, y, u, yy):
@@ -76,6 +68,14 @@ class Kernel:
         """
         xx, uu = _dot(x, x), _dot(u, u)
         return (xx + 1.0) * x, xx, uu, _gap(uu, _dot(y, u), yy)
+
+
+def _point(x, d, owner):
+    """x as a float array of points on R^d, one or a batch; ``owner`` names what expects them."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (d,):
+        raise ValueError(f"point has trailing dimension {x.shape[-1:]}, {owner} expects ({d},)")
+    return x
 
 
 def _dot(a, b):

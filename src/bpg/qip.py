@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # the cubics are re-exported: the benchmark's tracer looks them up here
-from .kernels import Kernel, _dot, _radial_step, cubic_root_l0, cubic_root_l1  # noqa: F401
+from .kernels import Kernel, _dot, _point, _radial_step, cubic_root_l0, cubic_root_l1  # noqa: F401
 from .smad import QIP_GRAM, SmadCertificate, check_symmetric
 from .solver import Problem
 
@@ -141,12 +141,6 @@ class QipInstance:
             if a is not None:
                 a.flags.writeable = False
 
-    def dense_matrices(self):
-        """The measurement matrices as a new dense (m, d, d) array."""
-        if self.lower is not None:
-            return self.lower.take(self._unpack, axis=1)
-        return np.einsum("mi,mj->mij", self.factors, self.factors)
-
     def smad_certificate(self):
         """L* = max(3 lambda_max(sum_i A_i^2), ||sum_i b_i A_i||) from one ``eigvalsh``.
 
@@ -176,13 +170,6 @@ class QipInstance:
         return SmadCertificate(L=L, source=QIP_GRAM)
 
 
-def _check_point(inst, x):
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (inst.d,):
-        raise ValueError(f"point has trailing dimension {x.shape[-1:]}, instance expects ({inst.d},)")
-    return x
-
-
 def _residuals(inst, x):
     """Residuals x^T A_i x - b_i, batched over the leading axes of x, and for
     rank-one instances the products a_i^T x (dense: None).  Dense instances
@@ -201,7 +188,7 @@ def _residuals(inst, x):
 def qip_oracle(inst, x):
     """(g(x), grad g(x)) from one residual pass; dense instances unpack
     S = sum_i r_i A_i from the packed row r @ lower, and grad g(x) = S x."""
-    x = _check_point(inst, x)
+    x = _point(x, inst.d, "instance")
     r, ax = _residuals(inst, x)
     one = x.ndim == 1
     if inst.factors is not None:
@@ -214,7 +201,7 @@ def qip_oracle(inst, x):
 
 def qip_value(inst, x):
     """The smooth data-fit value g(x) = 1/4 sum_i (x^T A_i x - b_i)^2."""
-    r = _residuals(inst, _check_point(inst, x))[0]
+    r = _residuals(inst, _point(x, inst.d, "instance"))[0]
     return 0.25 * _dot(r, r)
 
 

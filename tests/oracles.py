@@ -10,8 +10,10 @@ the exception: they are written with ``@`` on stacked row and column vectors
 and with ``np.linalg.norm``, and the library's per-iteration code, which
 takes each square sum as one BLAS dot, must match them bit for bit; h, grad h
 and D_h are also compared with exact rational arithmetic.  The reference
-loop is the other exception: it takes the library's own prox and its formula
-for the prox input p, and forms p afresh from each iterate.
+loop is the other exception: it takes the library's own prox, and forms the
+prox input p = lam grad g(x) - grad h(x) afresh from each iterate, from the
+library's gradients.  The dense stack of an instance is unpacked here from
+its public ``lower`` rows or ``factors`` and ``np.tril_indices``.
 """
 
 from fractions import Fraction
@@ -19,8 +21,18 @@ from itertools import combinations
 
 import numpy as np
 
-from bpg import Kernel
-from bpg.qip import p_lambda
+from bpg import Kernel, qip_gradient
+
+
+def dense_stack(inst):
+    """The (m, d, d) stack of an instance's measurement matrices A_i, from its
+    rank-one ``factors`` or its row-major lower triangles ``lower``."""
+    if inst.factors is not None:
+        return np.einsum("mi,mj->mij", inst.factors, inst.factors)
+    rows, cols = np.tril_indices(inst.d)
+    stack = np.empty((inst.m, inst.d, inst.d))
+    stack[:, rows, cols] = stack[:, cols, rows] = inst.lower
+    return stack
 
 
 def einsum_qip_value(matrices, b, x):
@@ -106,11 +118,12 @@ def fraction_kernel_bregman(x, y):
 
 
 def p_lambda_iterates(inst, lam, x0, steps):
-    """x_{k+1} = reg.prox(p_lambda(inst, h, lam, x_k), lam), with p formed afresh from x_k."""
+    """x_{k+1} = reg.prox(lam grad g(x_k) - grad h(x_k), lam), with p formed afresh from x_k."""
     kernel, prox = Kernel.quartic(inst.d), inst.regularizer.prox
     xs = [np.asarray(x0, dtype=float)]
     for _ in range(steps):
-        xs.append(prox(p_lambda(inst, kernel, lam, xs[-1]), lam))
+        x = xs[-1]
+        xs.append(prox(lam * qip_gradient(inst, x) - kernel.gradient(x), lam))
     return np.array(xs)
 
 

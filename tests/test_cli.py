@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import overflowing_instance, random_dense_instance
+from oracles import dense_stack
 
 from bpg import (BpgConfig, DecreaseViolationError, DivergenceError, Kernel, L1, QipInstance,
                  make_problem, qip_value, run_bpg)
@@ -70,6 +71,8 @@ class TestGenerate:
             generate_instance(d=4, m=3, s_true=1, noise=-0.5, seed=0)
         with pytest.raises(ValueError):
             generate_instance(d=4, m=3, s_true=1, noise=float("nan"), seed=0)
+        with pytest.raises(ValueError, match="unknown measurement kind 'diagonal'"):
+            generate_instance(d=4, m=3, s_true=1, noise=0.0, seed=0, kind="diagonal")
 
     def test_cli_generate(self, tmp_path):
         out = tmp_path / "inst.json"
@@ -80,17 +83,20 @@ class TestGenerate:
         assert inst.d == 5 and inst.m == 8
         assert np.count_nonzero(x_true) == 2
 
-    @pytest.mark.parametrize("args, out", [
-        (["--reg", "l1", "--theta", "-1"], "inst.json"),
-        (["--theta", "0.5"], "inst.json"),
-        (["--noise", "nan"], "inst.json"),
-        ([], "missing/inst.json"),
-    ], ids=["negative-theta", "theta-without-l1", "noise-nan", "missing-directory"])
-    def test_bad_input_writes_nothing(self, tmp_path, capsys, args, out):
+    @pytest.mark.parametrize("args, out, message", [
+        (["--reg", "l1", "--theta", "-1"], "inst.json", "l1 weight must be positive"),
+        (["--theta", "0.5"], "inst.json", "--theta needs --reg l1"),
+        (["--reg", "l1"], "inst.json", "--reg l1 requires --theta"),
+        (["--noise", "nan"], "inst.json", "noise level must be nonnegative"),
+        ([], "missing/inst.json", "No such file or directory"),
+    ], ids=["negative-theta", "theta-without-l1", "l1-without-theta", "noise-nan",
+            "missing-directory"])
+    def test_bad_input_writes_nothing(self, tmp_path, capsys, args, out, message):
         code = main(["generate", "--d", "5", "--m", "8", "--s-true", "2", *args,
                      "--out", str(tmp_path / out)])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
         assert list(tmp_path.iterdir()) == []
 
 
@@ -118,9 +124,6 @@ class TestRoundTrip:
         for a in (loaded.lower, loaded.b):
             assert a.dtype == np.float64 and not a.flags.writeable
             assert a.flags.owndata
-        full = loaded.dense_matrices()
-        assert full.shape == (5, 7, 7)
-        np.testing.assert_array_equal(full, np.swapaxes(full, 1, 2))
         assert instance_to_payload(loaded)["matrices"] == payload["matrices"]
 
     def test_rank_one_bit_exact(self, tmp_path):
@@ -144,7 +147,7 @@ class TestRoundTrip:
         expected = np.array([[1.0, -0.5, 0.1],
                              [-0.5, 2.0, 3.0],
                              [0.1, 3.0, -1.5]])
-        np.testing.assert_array_equal(inst.dense_matrices()[0], expected)
+        np.testing.assert_array_equal(dense_stack(inst)[0], expected)
         assert instance_to_payload(inst)["matrices"] == tri
 
     def test_l1_regularizer_round_trip(self):
@@ -195,6 +198,12 @@ class TestValidation:
 
     @pytest.mark.parametrize("edit, field", [
         (lambda p: [p], "JSON object"),
+        (lambda p: {k: v for k, v in p.items() if k != "b"}, "missing required field 'b'"),
+        (lambda p: {**p, "encoding": "sparse"}, "field 'encoding': unknown encoding 'sparse'"),
+        (lambda p: {**p, "regularizer": "l0"},
+         "field 'regularizer': expected an object with a 'kind'"),
+        (lambda p: {**p, "regularizer": {"kind": "l2"}},
+         "field 'regularizer.kind': unknown kind 'l2'"),
         (lambda p: {**p, "regularizer": {"kind": "l1"}}, "regularizer.theta"),
         (lambda p: {**p, "regularizer": {"kind": "l1", "theta": 0.1}}, "regularizer.theta"),
         (lambda p: {**p, "regularizer": {"kind": "l0"}}, "regularizer.s"),
@@ -204,7 +213,8 @@ class TestValidation:
         (lambda p: {**p, "b": "1234"}, r"'b': expected 32 bytes \(4 float64 values\), got 3$"),
         (lambda p: {**p, "x_true": "abcd"},
          r"'x_true': expected 32 bytes \(4 float64 values\), got 3$"),
-    ], ids=["not-an-object", "theta-missing", "theta-not-a-string", "s-missing", "d-null",
+    ], ids=["not-an-object", "b-missing", "unknown-encoding", "regularizer-not-an-object",
+            "unknown-regularizer", "theta-missing", "theta-not-a-string", "s-missing", "d-null",
             "factors-not-a-string", "b-three-bytes", "x-true-three-bytes"])
     def test_payload_shape_rejected(self, tmp_path, capsys, edit, field):
         payload, _, _ = generate_instance(d=4, m=4, s_true=1, noise=0.0, seed=0)
@@ -251,6 +261,26 @@ class TestValidation:
         payload[field] = edit(payload[field], n)
         with pytest.raises(ValueError, match=f"'{field}'"):
             payload_to_instance(payload)
+
+    @pytest.mark.parametrize("content, message", [
+        # past the parser's recursion limit
+        (b"[" * 200_000, "maximum recursion depth exceeded"),
+        # a Latin-1 e-acute
+        (b'{"schema": 2, "d": "caf\xe9"}\n', "'utf-8' codec can't decode byte 0xe9"),
+    ], ids=["nested-too-deep", "not-utf-8"])
+    def test_unreadable_file_is_one_error_line(self, tmp_path, capsys, content, message):
+        path, out = tmp_path / "bad.json", tmp_path / "run"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=message):
+            load_instance(path)
+        for argv in (["check", "--instance", str(path)],
+                     ["solve", "--instance", str(path), "--out", str(out)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            err = captured.err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {path}: ") and message in err[0]
+            assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -538,32 +568,42 @@ class TestExitCodes:
         stdout = capsys.readouterr().out
         assert stdout.startswith("FAIL: ") and "violations=2000," in stdout
 
-    @pytest.mark.parametrize("case", ["norm-overflow", "overflowing-start", "overflowing-check"])
+    @pytest.mark.parametrize("case", ["norm-overflow", "overflowing-start", "overflowing-check",
+                                      "overflowing-noise"])
     def test_same_outcome_whatever_the_warning_filter(self, tmp_path, case):
         # each case runs in a fresh interpreter, once with no warning filter and
         # once with RuntimeWarning an error: the program sets numpy's
         # floating-point state itself, so both runs exit alike, print the same
         # lines, write the same strict-JSON files and print no warning
-        d, m, scale, args, code = {
+        instance, args, code, err = {
             # entries 1e150: the witness's square sum overflows; exit 0
-            "norm-overflow": (16, 32, 1e150, ["solve", "--max-iters", "20"], 0),
+            "norm-overflow": ((16, 32, 1e150), ["solve", "--max-iters", "20"], 0, ""),
             # entries 1e152: g overflows at start 2, which fails; exit 3
-            "overflowing-start": (16, 32, 1e152, ["solve", "--starts", "3", "--max-iters", "20"], 3),
+            "overflowing-start": ((16, 32, 1e152), ["solve", "--starts", "3", "--max-iters", "20"],
+                                  3, ""),
             # pairs at radius 1e80: the margins overflow to NaN, and the audit fails; exit 4
-            "overflowing-check": (8, 16, 1.0, ["check", "--radius", "1e80"], 4),
+            "overflowing-check": ((8, 16, 1.0), ["check", "--radius", "1e80"], 4, ""),
+            # 1e308 times a normal draw past 1.8 leaves float64; exit 2 and one line
+            "overflowing-noise": (None, ["generate", "--d", "4", "--m", "2000", "--s-true", "1",
+                                         "--noise", "1e308", "--seed", "1"], 2,
+                                  "error: noise level 1e+308 overflows float64 in the measurements b\n"),
         }[case]
-        path = tmp_path / "inst.json"
-        inst = random_dense_instance(np.random.default_rng(5), d, m, scale=scale)
-        save_instance(instance_to_payload(inst), path)
+        if instance is not None:
+            path = tmp_path / "inst.json"
+            inst = random_dense_instance(np.random.default_rng(5), *instance[:2], scale=instance[2])
+            save_instance(instance_to_payload(inst), path)
+            args = [*args, "--instance", str(path)]
         env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
         env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
         runs = []
         for flags in ([], ["-W", "error::RuntimeWarning"]):
             out = tmp_path / f"run{len(runs)}"
-            argv = [*args, "--instance", str(path), *(["--out", str(out)] if args[0] == "solve" else [])]
+            argv = [*args, *(["--out", str(out)] if args[0] != "check" else [])]
             proc = subprocess.run([sys.executable, *flags, "-m", "bpg.cli", *argv],
                                   capture_output=True, text=True, env=env)
-            assert (proc.returncode, proc.stderr) == (code, "")
+            assert (proc.returncode, proc.stderr) == (code, err)
+            if args[0] == "generate":
+                assert not out.exists()
             files = {p.name: p.read_text() for p in sorted(out.glob("*"))}
             for name, text in files.items():
                 if name.endswith(".json"):

@@ -9,6 +9,7 @@ from conftest import random_dense_instance
 from oracles import (
     EnergyKernel,
     bisect_root,
+    dense_stack,
     einsum_qip_gradient,
     einsum_qip_value,
     enum_prox_l0,
@@ -42,7 +43,7 @@ from bpg.qip import p_lambda, qip_oracle
 
 def triple_loop_value(inst, x):
     total = 0.0
-    for A, bi in zip(inst.dense_matrices(), inst.b):
+    for A, bi in zip(dense_stack(inst), inst.b):
         quad = 0.0
         for i in range(inst.d):
             for j in range(inst.d):
@@ -94,15 +95,31 @@ class TestInstance:
         with pytest.raises(ValueError, match="lower must have shape"):
             QipInstance(b=np.ones(2), regularizer=L1(0.1), lower=np.ones(shape))
 
+    @pytest.mark.parametrize("data, message", [
+        ({"b": np.ones(3), "factors": np.ones(3)}, r"factors must have shape \(m, d\), got \(3,\)"),
+        ({"b": np.ones(2), "matrices": np.ones((2, 2, 3))},
+         r"matrices must have shape \(m, d, d\), got \(2, 2, 3\)"),
+        ({"b": np.ones(2), "matrices": np.eye(2)}, r"matrices must have shape \(m, d, d\), got \(2, 2\)"),
+        ({"b": np.ones(2), "factors": np.ones((3, 2))}, r"b has shape \(2,\), expected \(3,\)"),
+        ({"b": np.ones(2), "lower": np.ones((3, 3))}, r"b has shape \(2,\), expected \(3,\)"),
+    ], ids=["factors-1d", "matrices-not-square", "matrices-2d", "b-short-rank-one", "b-short-dense"])
+    def test_rejects_misshapen_data(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            QipInstance(regularizer=L1(0.1), **data)
+
+    def test_rejects_unknown_regularizer(self):
+        with pytest.raises(TypeError, match="regularizer must be L1 or L0Ball, got str"):
+            QipInstance(b=[1.0], regularizer="l1", matrices=[np.eye(2)])
+
     def test_lower_and_matrices_agree(self):
         rng = np.random.default_rng(29)
         full = random_dense_instance(rng, d=5, m=4)
         packed = QipInstance(b=full.b, regularizer=full.regularizer, lower=full.lower)
         assert packed.d == 5 and packed.m == 4
-        np.testing.assert_array_equal(packed.dense_matrices(), full.dense_matrices())
+        np.testing.assert_array_equal(dense_stack(packed), dense_stack(full))
         with pytest.raises(ValueError, match="exactly one"):
             QipInstance(b=full.b, regularizer=full.regularizer, lower=full.lower,
-                        matrices=full.dense_matrices())
+                        matrices=dense_stack(full))
 
     @pytest.mark.parametrize("field", ["b", "matrices", "factors"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -126,7 +143,7 @@ class TestInstance:
         factors = rng.standard_normal((4, 3))
         b = rng.standard_normal(4)
         r1 = QipInstance(b=b, regularizer=L1(0.1), factors=factors)
-        dense = QipInstance(b=b, regularizer=L1(0.1), matrices=r1.dense_matrices())
+        dense = QipInstance(b=b, regularizer=L1(0.1), matrices=dense_stack(r1))
         x = rng.standard_normal(3)
         assert qip_value(r1, x) == pytest.approx(qip_value(dense, x), rel=1e-12)
         np.testing.assert_allclose(qip_gradient(r1, x), qip_gradient(dense, x), rtol=1e-12)
@@ -219,14 +236,6 @@ class TestPackedOracle:
             expected = einsum_qip_gradient(matrices, b, x)
             err = np.linalg.norm(grad - expected, axis=-1)
             assert np.all(err <= 1e-12 * np.linalg.norm(expected, axis=-1))
-
-    def test_dense_matrices_exactly_symmetric(self):
-        rng = np.random.default_rng(35)
-        inst = random_dense_instance(rng, d=7, m=3, scale=1e3)
-        full = inst.dense_matrices()
-        np.testing.assert_array_equal(full, np.swapaxes(full, 1, 2))
-        rows, cols = np.tril_indices(7)
-        np.testing.assert_array_equal(full[:, rows, cols], inst.lower)
 
 
 def small_instance(kind, seed, regularizer=None):
@@ -452,6 +461,11 @@ class TestThresholds:
         for bad in (0, 4, 2.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="sparsity level"):
                 hard_threshold(np.ones(3), bad)
+
+    def test_hard_needs_one_vector(self):
+        for bad in (np.ones((2, 3)), 1.0):
+            with pytest.raises(ValueError, match="hard_threshold expects a single vector"):
+                hard_threshold(bad, 1)
 
     def test_hard_norm_matches_enumeration(self):
         # ||H_s(a)|| is the max of <a, z> over unit vectors with s nonzeros

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import ball_samples, overflowing_instance, random_dense_instance
-from oracles import EnergyKernel, eig_qip_gram_constant, eig_spectral_norm, paper_qip_constant
+from oracles import (EnergyKernel, dense_stack, eig_qip_gram_constant, eig_spectral_norm,
+                     paper_qip_constant)
 
 from bpg import (
     L1,
@@ -39,6 +40,11 @@ class TestSpectralNorm:
         A[0, 0] = np.nan
         with pytest.raises(ValueError):
             spectral_norm(A)
+
+    def test_non_square_rejected(self):
+        for shape in [(2, 3), (3,), (2, 2, 3), (1, 2, 2, 2)]:
+            with pytest.raises(ValueError, match="expected a square matrix or a stack of them"):
+                spectral_norm(np.zeros(shape))
 
     def test_near_tied_spectrum_is_exact(self):
         # |lambda_1| and |lambda_2| differ by 1e-6 relative; an iterative
@@ -112,6 +118,12 @@ class TestQipSmadConstant:
             with pytest.raises(ValueError, match="not symmetric"):
                 qip_certificate([A], [0.0])
 
+    def test_zero_matrices_rejected(self):
+        for inst in (QipInstance(b=[1.0, -2.0], regularizer=L1(0.1), matrices=np.zeros((2, 3, 3))),
+                     QipInstance(b=[1.0, -2.0], regularizer=L1(0.1), factors=np.zeros((2, 3)))):
+            with pytest.raises(ValueError, match="instance has only zero measurement matrices"):
+                inst.smad_certificate()
+
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             qip_certificate([], [])
@@ -155,7 +167,7 @@ class TestQipSmadConstant:
             rank_one = QipInstance(b=dense.b, regularizer=L1(0.1),
                                    factors=np.sqrt(scale) * rng.standard_normal((m, d)))
             for inst in (dense, rank_one):
-                expected = eig_qip_gram_constant(inst.dense_matrices(), inst.b)
+                expected = eig_qip_gram_constant(dense_stack(inst), inst.b)
                 assert inst.smad_certificate().L == pytest.approx(expected, rel=1e-10)
 
     def test_gram_peak_below_one_unpacked_stack(self):
@@ -179,7 +191,7 @@ class TestQipSmadConstant:
             rank_one = QipInstance(b=dense.b, regularizer=L1(0.1),
                                    factors=np.sqrt(scale) * rng.standard_normal((m, d)))
             for inst in (dense, rank_one):
-                paper = paper_qip_constant(inst.dense_matrices(), inst.b)
+                paper = paper_qip_constant(dense_stack(inst), inst.b)
                 assert inst.smad_certificate().L <= paper * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("action", ["error", "ignore"])
