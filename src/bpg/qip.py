@@ -99,7 +99,7 @@ class QipInstance:
         self.lower = self.factors = None
         if factors is not None:
             factors = np.array(factors, dtype=float)
-            if factors.ndim != 2:
+            if factors.ndim != 2 or factors.shape[1] < 1:
                 raise ValueError(f"factors must have shape (m, d), got {factors.shape}")
             _check_finite(factors, "factors")
             self.factors = factors
@@ -160,7 +160,7 @@ class QipInstance:
                     for i in range(0, self.m, _GRAM_BLOCK):
                         rows = self.lower[i:i + _GRAM_BLOCK].take(self._unpack, axis=1).reshape(-1, self.d)
                         squares += rows.T @ rows
-                    pair = np.array([squares, (self.b @ self.lower)[self._unpack]])
+                    pair = np.array([squares, (self.b @ self.lower).take(self._unpack)])
                 gram, data = np.linalg.eigvalsh(pair).tolist()
         except (FloatingPointError, np.linalg.LinAlgError):
             raise ValueError("the measurement data overflow float64 in the certificate") from None
@@ -171,31 +171,29 @@ class QipInstance:
 
 
 def _residuals(inst, x):
-    """Residuals x^T A_i x - b_i, batched over the leading axes of x, and for
-    rank-one instances the products a_i^T x (dense: None).  Dense instances
-    weight the pair products w = x_j x_k by 2 off the diagonal.  For one
-    point, ``ndarray.dot`` gives the bits of ``@`` at a fraction of its cost.
-    """
-    one = x.ndim == 1
+    """Residuals x^T A_i x - b_i over the leading axes of x, and the rank-one
+    products a_i^T x (dense: None); dense pair products x_j x_k weigh 2 off the
+    diagonal, on one path for a point and a batch.  Rank-one instances take
+    ``ndarray.dot`` for one point: ``@`` gives its bits, but made a 2.3 us oracle
+    call at d=8, m=16 take 2.9 us (2-core VM), 4% of a solver iteration."""
     if inst.factors is not None:
-        ax = x.dot(inst.factors.T) if one else x @ inst.factors.T
+        ax = x.dot(inst.factors.T) if x.ndim == 1 else x @ inst.factors.T
         return ax * ax - inst.b, ax
     rows, cols = inst._pairs
-    w = x[..., rows] * x[..., cols] * inst._weight
-    return (w.dot(inst.lower.T) if one else w @ inst.lower.T) - inst.b, None
+    w = x.take(rows, axis=-1) * x.take(cols, axis=-1) * inst._weight
+    return w @ inst.lower.T - inst.b, None
 
 
 def qip_oracle(inst, x):
-    """(g(x), grad g(x)) from one residual pass; dense instances unpack
-    S = sum_i r_i A_i from the packed row r @ lower, and grad g(x) = S x."""
+    """(g(x), grad g(x)) from one residual pass; dense instances ``take`` a C-ordered
+    S = sum_i r_i A_i from the packed row r @ lower, and grad g(x) = S x, one BLAS product."""
     x = _point(x, inst.d, "instance")
     r, ax = _residuals(inst, x)
-    one = x.ndim == 1
     if inst.factors is not None:
-        grad = (r * ax).dot(inst.factors) if one else (r * ax) @ inst.factors
+        grad = (r * ax).dot(inst.factors) if x.ndim == 1 else (r * ax) @ inst.factors
     else:
-        S = (r.dot(inst.lower) if one else r @ inst.lower)[..., inst._unpack]
-        grad = S.dot(x) if one else (S @ x[..., None])[..., 0]
+        S = (r @ inst.lower).take(inst._unpack, axis=-1)
+        grad = (S @ x[..., None])[..., 0]
     return 0.25 * _dot(r, r), grad
 
 

@@ -10,11 +10,13 @@ checked against the sufficient-decrease inequality
 
 a violation of which signals a wrong adaptability constant, a wrong prox map,
 or numerical breakdown, and aborts the run.  Every iterate must pass the
-divergence guard, and every driver must be finite; the run sets numpy's
-floating-point state itself, so an overflow is an inf or NaN for these checks,
-whatever the caller's warning filters.  The witness (p+ - p) / lam =
-grad g(x+) - grad g(x) + (grad h(x) - grad h(x+)) / lam is a subgradient of
-Psi at x+.  The trace records Psi, D_h, the step norm and the witness norm.
+divergence guard on the kernel's ||x||^2 before the oracle sees it, and every
+driver must be finite; the run sets numpy's floating-point state itself, so an
+overflow is an inf or NaN for these checks, whatever the caller's warning
+filters, and a norm sqrt(v.dot(v)) whose square sum overflows is an inf.  The
+witness (p+ - p) / lam = grad g(x+) - grad g(x) + (grad h(x) - grad h(x+)) / lam
+is a subgradient of Psi at x+.  The trace records Psi, D_h, the step norm and
+the witness norm.
 """
 
 import csv
@@ -199,16 +201,12 @@ def _check_lower_bound(problem, psi, name):
 
 
 def _norm(v):
-    """sqrt(v.dot(v)), rescaled by max |v_i| where that overflows a finite v; under ``run_bpg``'s errstate."""
-    n = math.sqrt(v.dot(v))
-    if n == math.inf:  # a NaN entry makes the norm NaN, an inf one inf
-        s = float(np.abs(v).max())
-        n = s * math.sqrt((v / s).dot(v / s)) if s < math.inf else s
-    return n
+    """sqrt(v.dot(v)); under ``run_bpg``'s errstate a square sum that overflows is an inf."""
+    return math.sqrt(v.dot(v))
 
 
-def _guard_iterate(x):  # returns ||x||; under run_bpg's errstate, an overflow is an inf
-    if not (n := _norm(x)) <= DIVERGENCE_NORM:
+def _guard_iterate(sq):  # returns ||x|| from the kernel's ||x||^2
+    if not (n := math.sqrt(sq)) <= DIVERGENCE_NORM:
         raise DivergenceError(f"iterate norm {n:.3e} is not finite or exceeds {DIVERGENCE_NORM:.0e}")
     return n
 
@@ -229,9 +227,9 @@ def run_bpg(problem, config):
     lam = resolve_step(config.lam, L)
     with np.errstate(all="ignore"):  # an overflow is an inf or NaN, which the checks catch
         x = config.x0.copy()
-        _guard_iterate(x)
-        g, grad = problem.g_oracle(x)
         grad_h, sq, _, _ = problem.kernel.step_terms(x, x, np.zeros_like(x), 0.0)
+        _guard_iterate(sq)
+        g, grad = problem.g_oracle(x)
         if not _norm(p := lam * grad - grad_h) < math.inf:  # the driver; a witness is (p+ - p) / lam
             raise DivergenceError("the driver lam*grad g - grad h is not finite: g overflows at the start")
         psi = float(problem.f_value(x)) + float(g)
@@ -245,10 +243,10 @@ def run_bpg(problem, config):
 
         for k in range(1, config.max_iters + 1):
             x_new = np.asarray(problem.prox_map(p, lam), dtype=float)
-            norm = _guard_iterate(x_new)
+            grad_h, sq, uu, dh = problem.kernel.step_terms(x_new, x, x_new - x, sq)
+            norm = _guard_iterate(sq)
             g, grad = problem.g_oracle(x_new)
             psi_new = float(problem.f_value(x_new)) + float(g)
-            grad_h, sq, uu, dh = problem.kernel.step_terms(x_new, x, x_new - x, sq)
             _check_decrease(lam, L, psi, psi_new, dh := float(dh))
             _check_lower_bound(problem, psi_new, "Psi(x+)")
             p_new = lam * grad - grad_h

@@ -424,9 +424,8 @@ class TestSolve:
         assert [line.split(":")[0] for line in lines] == ["start 0", "start 1", "start 2", "best"]
 
     def test_norms_past_the_float64_square_stay_finite(self, tmp_path):
-        # entries of about 1e150 certify a finite L* = 1.1e303, but the witness's
-        # square sum overflows; run_bpg's floating-point state makes it an inf,
-        # which the norm rescales
+        # entries of about 1e150 certify a finite L* = 1.1e303; the witness
+        # norms, a small ||p+ - p|| over lam = 9e-304, are about 5e298
         path = tmp_path / "inst.json"
         inst = random_dense_instance(np.random.default_rng(5), 16, 32, scale=1e150)
         save_instance(instance_to_payload(inst), path)
@@ -568,7 +567,7 @@ class TestExitCodes:
         stdout = capsys.readouterr().out
         assert stdout.startswith("FAIL: ") and "violations=2000," in stdout
 
-    @pytest.mark.parametrize("case", ["norm-overflow", "overflowing-start", "overflowing-check",
+    @pytest.mark.parametrize("case", ["huge-data", "overflowing-start", "overflowing-check",
                                       "overflowing-noise"])
     def test_same_outcome_whatever_the_warning_filter(self, tmp_path, case):
         # each case runs in a fresh interpreter, once with no warning filter and
@@ -576,8 +575,8 @@ class TestExitCodes:
         # floating-point state itself, so both runs exit alike, print the same
         # lines, write the same strict-JSON files and print no warning
         instance, args, code, err = {
-            # entries 1e150: the witness's square sum overflows; exit 0
-            "norm-overflow": ((16, 32, 1e150), ["solve", "--max-iters", "20"], 0, ""),
+            # entries 1e150 certify a finite L* = 1.1e303; 20 iterations exit 0
+            "huge-data": ((16, 32, 1e150), ["solve", "--max-iters", "20"], 0, ""),
             # entries 1e152: g overflows at start 2, which fails; exit 3
             "overflowing-start": ((16, 32, 1e152), ["solve", "--starts", "3", "--max-iters", "20"],
                                   3, ""),

@@ -102,7 +102,9 @@ class TestInstance:
         ({"b": np.ones(2), "matrices": np.eye(2)}, r"matrices must have shape \(m, d, d\), got \(2, 2\)"),
         ({"b": np.ones(2), "factors": np.ones((3, 2))}, r"b has shape \(2,\), expected \(3,\)"),
         ({"b": np.ones(2), "lower": np.ones((3, 3))}, r"b has shape \(2,\), expected \(3,\)"),
-    ], ids=["factors-1d", "matrices-not-square", "matrices-2d", "b-short-rank-one", "b-short-dense"])
+        ({"b": np.ones(1), "factors": np.zeros((1, 0))}, r"factors must have shape \(m, d\), got \(1, 0\)"),
+    ], ids=["factors-1d", "matrices-not-square", "matrices-2d", "b-short-rank-one", "b-short-dense",
+            "factors-no-columns"])
     def test_rejects_misshapen_data(self, data, message):
         with pytest.raises(ValueError, match=message):
             QipInstance(regularizer=L1(0.1), **data)
@@ -257,7 +259,10 @@ def matmul_oracle(inst, x):
     else:
         rows, cols = np.tril_indices(inst.d)
         r = (x[..., rows] * x[..., cols] * np.where(rows == cols, 1.0, 2.0)) @ inst.lower.T - inst.b
-        grad = ((r @ inst.lower)[..., inst._unpack] @ x[..., None])[..., 0]
+        unpack = np.empty((inst.d, inst.d), dtype=np.intp)  # packed index of entry (j, k)
+        unpack[rows, cols] = unpack[cols, rows] = np.arange(rows.size)
+        S = np.ascontiguousarray((r @ inst.lower)[..., unpack])
+        grad = (S @ x[..., None])[..., 0]
     return 0.25 * (r[..., None, :] @ r[..., :, None])[..., 0, 0], grad
 
 
@@ -296,7 +301,7 @@ class TestOracleMemo:
             value, grad = qip_oracle(inst, x)
             assert same_bits(value, qip_value(inst, x))
             assert same_bits(grad, qip_gradient(inst, x))
-            # one point takes ndarray.dot, which must give the bits of @
+            # one rank-one point takes ndarray.dot, which must give the bits of @
             expected = matmul_oracle(inst, x)
             assert same_bits(value, expected[0]) and same_bits(grad, expected[1])
 

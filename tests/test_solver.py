@@ -107,7 +107,7 @@ class TestBpgStep:
         [np.nan, 0.0],
         [np.inf, 0.0],
         # finite, but the square sum overflows: run_bpg's floating-point
-        # state makes it an inf, which the guard rescales
+        # state makes the kernel's ||x||^2 an inf, which the guard refuses
         [1e200, 1e200],
         [DIVERGENCE_NORM * (1.0 + 1e-12), 0.0],
     ], ids=["nan", "inf", "square-overflow", "past-guard"])
@@ -204,22 +204,24 @@ class TestRunBpg:
         assert calls == []
 
     def test_square_sum_overflow_is_divergence(self):
-        # the guard runs under run_bpg's floating-point state, in which the
-        # overflow of numpy's dot is an inf; it must report divergence
+        # the guard reads the kernel's ||x||^2 under run_bpg's floating-point
+        # state, in which the overflow of numpy's dot is an inf; it must
+        # report divergence
+        v = np.full(8, 1e200)
         with pytest.raises(DivergenceError), np.errstate(over="ignore"):
-            _guard_iterate(np.full(8, 1e200))
+            _guard_iterate(v.dot(v))
         prob = quadratic_problem([0.0, 0.0])
         prob.prox_map = lambda x, lam: np.full(2, 1e200)
         with pytest.raises(DivergenceError):
             run_bpg(prob, BpgConfig(x0=np.ones(2), lam=0.5, max_iters=5))
 
-    def test_norm_rescales_only_where_the_square_sum_overflows(self):
+    def test_norm_is_inf_where_the_square_sum_overflows(self):
         v = np.random.default_rng(58).standard_normal(8)
         assert _norm(v) == math.sqrt(v.dot(v))
-        # under run_bpg's floating-point state the dot's overflow is an inf;
-        # the norm is still finite
+        # under run_bpg's floating-point state the dot's overflow is an inf,
+        # and so is the norm of a finite vector past about 1.3e154
         with np.errstate(over="ignore"):
-            assert _norm(1e200 * v) == pytest.approx(1e200 * linalg_norm(v), rel=1e-15)
+            assert _norm(1e200 * v) == math.inf
             assert _norm(np.array([np.inf, 1.0])) == math.inf
             assert math.isnan(_norm(np.array([np.nan, 1e200])))
             assert math.isnan(_norm(np.array([np.nan, np.inf])))
