@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import instances
-from .qip import L0Ball, L1, hard_threshold, make_problem, qip_gradient, qip_value
+from .qip import L0Ball, L1, hard_threshold, make_problem, qip_value
 from .smad import check_descent_lemma
 from .solver import BpgConfig, DecreaseViolationError, DivergenceError, resolve_step, run_bpg
 
@@ -164,9 +164,9 @@ def _cmd_check(args):
         r = args.radius * rng.random(n) ** (1.0 / inst.d)
         return u * r[:, None]
 
-    # g and grad g apart: views of the fused oracle would also take a gradient at x
-    report = check_descent_lemma(lambda x: qip_value(inst, x), lambda x: qip_gradient(inst, x),
-                                 problem.kernel, problem.smad.L, ball(args.samples), ball(args.samples))
+    # g alone at x; g and grad g at y from one residual pass of the fused oracle
+    report = check_descent_lemma(lambda x: qip_value(inst, x), None, problem.kernel, problem.smad.L,
+                                 ball(args.samples), ball(args.samples), g_oracle=problem.g_oracle)
     status = "PASS" if report.passed else "FAIL"
     print(f"{status}: L={problem.smad.L:.6e}, samples={args.samples}, radius={args.radius}, "
           f"violations={report.n_violations}, worst margin={report.worst_margin:.3e}")

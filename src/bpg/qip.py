@@ -7,7 +7,8 @@ lower triangle, and evaluate g from one BLAS matrix-vector product of the
 unpacks sum_i r_i A_i from one product of the residuals with the same stack.
 Rank-one instances A_i = a_i a_i^T use the m inner products a_i^T x.
 :func:`qip_oracle` gives g and grad g from one residual pass, once per solver
-step; an instance keeps no state but read-only copies of its data.
+step; an instance keeps no state but its data, in read-only arrays that no
+caller can write.
 
 Under the paper's kernel h(x) = 1/4 ||x||^4 + 1/2 ||x||^2 the Bregman step is
 explicit for an l1 penalty and an l0-ball constraint, and both are one map:
@@ -72,6 +73,19 @@ class L0Ball:
         return _radial_step(_keep_largest(p, self.s))
 
 
+def _read_only(a):
+    """a as a read-only C-ordered float64 array that no caller can write: a itself
+    where an immutable ``bytes`` object owns its memory (a decoded instance
+    file), else a copy, as of any caller's array or of a view of one."""
+    base = a.base if type(a) is np.ndarray else None
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if not (isinstance(base, bytes) and a.dtype == np.float64 and a.flags.c_contiguous):
+        a = np.array(a, dtype=float, order="C")
+    a.flags.writeable = False
+    return a
+
+
 def _check_finite(a, name):
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
@@ -87,18 +101,20 @@ class QipInstance:
     to within a 1e-10 share of its largest entry and is packed on the way in.
     Rank-one instances store the factors, shape (m, d), so that
     A_i = a_i a_i^T (the phase retrieval case), for O(m*d) evaluation.
+    ``b``, ``lower`` and ``factors`` are read-only: copies of the caller's data,
+    or the data itself where an immutable ``bytes`` object holds it (a loaded file).
     """
 
     def __init__(self, b, regularizer, matrices=None, factors=None, lower=None):
         if sum(a is not None for a in (matrices, factors, lower)) != 1:
             raise ValueError("provide exactly one of matrices=, lower= or factors=")
-        self.b = np.array(b, dtype=float)
+        self.b = _read_only(b)
         if self.b.ndim != 1 or self.b.size < 1:
             raise ValueError(f"b must be a nonempty vector, got shape {self.b.shape}")
         _check_finite(self.b, "b")
         self.lower = self.factors = None
         if factors is not None:
-            factors = np.array(factors, dtype=float)
+            factors = _read_only(factors)
             if factors.ndim != 2 or factors.shape[1] < 1:
                 raise ValueError(f"factors must have shape (m, d), got {factors.shape}")
             _check_finite(factors, "factors")
@@ -114,7 +130,7 @@ class QipInstance:
                 check_symmetric(matrices)
                 rows, cols = np.tril_indices(matrices.shape[1])
                 lower = matrices[:, rows, cols]
-            lower = np.array(lower, dtype=float, order="C")
+            lower = _read_only(lower)
             n = lower.shape[1] if lower.ndim == 2 else 0
             d = (math.isqrt(8 * n + 1) - 1) // 2
             if n < 1 or d * (d + 1) // 2 != n:
@@ -137,9 +153,6 @@ class QipInstance:
         self.regularizer = regularizer
         self.d = d
         self.m = m
-        for a in (self.b, self.lower, self.factors):
-            if a is not None:
-                a.flags.writeable = False
 
     def smad_certificate(self):
         """L* = max(3 lambda_max(sum_i A_i^2), ||sum_i b_i A_i||) from one ``eigvalsh``.

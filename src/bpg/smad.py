@@ -91,14 +91,18 @@ class DescentReport:
     passed: bool
 
 
-def check_descent_lemma(g_value, g_gradient, kernel, L, xs, ys):
+def check_descent_lemma(g_value, g_gradient, kernel, L, xs, ys, g_oracle=None):
     """Verify the extended descent bound on sampled point pairs.
 
     ``g_value`` and ``g_gradient`` must accept batched input of shape (n, d);
-    they and the kernel see at most ``PAIR_BLOCK`` pairs per call, under numpy's
+    ``g_oracle(y)``, if given, returns ``(g(y), grad g(y))`` in one call (a
+    fused oracle, one pass over the data) and ``g_gradient`` may be None;
+    by default it is the pair of ``g_value`` and ``g_gradient``.
+    They and the kernel see at most ``PAIR_BLOCK`` pairs per call, under numpy's
     ``errstate(all="ignore")``: an overflow is a NaN margin.  Returns a report
     even on a failed bound; raises ValueError on unequal, empty or non-finite samples.
     """
+    g_oracle = g_oracle or (lambda y: (g_value(y), g_gradient(y)))
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     if xs.shape != ys.shape:
@@ -112,7 +116,8 @@ def check_descent_lemma(g_value, g_gradient, kernel, L, xs, ys):
         for start in range(0, len(xs), PAIR_BLOCK):
             x, y = xs[start:start + PAIR_BLOCK], ys[start:start + PAIR_BLOCK]
             dh = np.atleast_1d(kernel.bregman(x, y))
-            dg = np.atleast_1d(g_value(x) - g_value(y) - np.sum(g_gradient(y) * (x - y), axis=-1))
+            gy, grad_y = g_oracle(y)
+            dg = np.atleast_1d(g_value(x) - gy - np.sum(grad_y * (x - y), axis=-1))
             margins.append(L * dh - np.abs(dg))
             slacks.append(_DESCENT_SLACK * (1.0 + np.abs(dg) + L * dh))
     margins = np.concatenate(margins)

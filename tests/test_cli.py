@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -119,12 +120,34 @@ class TestRoundTrip:
         loaded, _ = load_instance(path)
         rows = unb64(payload["matrices"]).reshape(5, 28)
         assert loaded.lower.tobytes() == rows.tobytes() == inst.lower.tobytes()
-        # the instance's own read-only float64 copies, not views of the
-        # decoded bytes
+        # read-only float64, sharing memory with no writable array: every
+        # array down the chain of bases is read-only, and the memory is the
+        # decoded bytes (or an array that owns it)
         for a in (loaded.lower, loaded.b):
             assert a.dtype == np.float64 and not a.flags.writeable
-            assert a.flags.owndata
+            base = a
+            while isinstance(base, np.ndarray):
+                assert not base.flags.writeable
+                base = base.base
+            assert base is None or isinstance(base, bytes)
         assert instance_to_payload(loaded)["matrices"] == payload["matrices"]
+
+    def test_dense_load_peaks_near_the_file_size(self, tmp_path):
+        # the benchmark's dense size; the floor is the file's text plus the
+        # string JSON parses from it, 2x the file, and every copy of the
+        # matrices past the decoded bytes adds 0.75x
+        payload, _, _ = generate_instance(d=64, m=256, s_true=4, noise=0.0, seed=1,
+                                          kind="dense-symmetric")
+        path = tmp_path / "dense.json"
+        save_instance(payload, path)
+        del payload
+        tracemalloc.start()
+        try:
+            load_instance(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * path.stat().st_size
 
     def test_rank_one_bit_exact(self, tmp_path):
         payload, inst, _ = generate_instance(d=4, m=6, s_true=1, noise=0.0, seed=10)
@@ -252,15 +275,22 @@ class TestValidation:
         lambda text, n: text[:-6] + "." + text[-5:],
         lambda text, n: text + "\n",
         lambda text, n: text.rstrip("="),
+        lambda text, n: text[:8] + "\u00e9" + text[9:],
+        lambda text, n: text[:4] + "AA==" + text[4:],
     ], ids=["short-row", "long-row", "row-a-string", "row-null", "non-hex-in-last-row",
-            "stray-newline", "no-padding"])
-    def test_bad_rows_name_the_field(self, kind, field, n, edit):
+            "stray-newline", "no-padding", "non-ascii", "data-after-padding"])
+    def test_bad_rows_name_the_field(self, tmp_path, capsys, kind, field, n, edit):
         # all m rows are one base64 string of m * n float64 values
         payload, _, _ = generate_instance(d=4, m=5, s_true=1, noise=0.0, seed=0, kind=kind)
         assert unb64(payload[field]).size == 5 * n
         payload[field] = edit(payload[field], n)
         with pytest.raises(ValueError, match=f"'{field}'"):
             payload_to_instance(payload)
+        path = tmp_path / "bad.json"
+        save_instance(payload, path)
+        assert main(["check", "--instance", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: field '{field}'")
 
     @pytest.mark.parametrize("content, message", [
         # past the parser's recursion limit

@@ -330,6 +330,31 @@ class TestOracleMemo:
         assert same_bits(qip_value(inst, y), expected[0])
         assert same_bits(qip_gradient(inst, y), expected[1])
 
+    def test_read_only_views_of_caller_arrays_are_copied(self, kind):
+        rng = np.random.default_rng(71)
+        b = rng.standard_normal(7)
+        data = (random_dense_instance(rng, d=5, m=7).lower.copy() if kind == "dense"
+                else rng.standard_normal((7, 5)))
+        views = b.view(), data.view()
+        for view in views:
+            view.flags.writeable = False
+        key = "lower" if kind == "dense" else "factors"
+        inst = QipInstance(b=views[0], regularizer=L1(0.1), **{key: views[1]})
+        x = rng.standard_normal(5)
+        value, grad = qip_value(inst, x), qip_gradient(inst, x)
+        b[0] += 5.0
+        data[0] += 1.0
+        assert same_bits(qip_value(inst, x), value) and same_bits(qip_gradient(inst, x), grad)
+        assert not np.shares_memory(inst.b, b) and not np.shares_memory(getattr(inst, key), data)
+
+    def test_data_in_bytes_is_kept(self, kind):
+        # an immutable bytes object, as a loaded file's arrays are: no copy
+        inst = small_instance(kind, 72)
+        key = "lower" if kind == "dense" else "factors"
+        frozen = [np.frombuffer(a.tobytes()).reshape(a.shape) for a in (inst.b, getattr(inst, key))]
+        kept = QipInstance(b=frozen[0], regularizer=inst.regularizer, **{key: frozen[1]})
+        assert kept.b is frozen[0] and getattr(kept, key) is frozen[1]
+
     def test_one_residual_pass_per_iteration(self, kind, monkeypatch):
         reg = L1(0.1) if kind == "dense" else L0Ball(2)
         inst = small_instance(kind, 67, reg)
