@@ -1,55 +1,27 @@
-"""Instance file schema, round-trip exact serialization, and synthetic generation.
+"""Instance file schema 3, bit-exact round trips, and synthetic generation.
 
-Files are JSON objects in which every float array (``b``, ``x_true``, the
-packed ``matrices`` rows, ``factors`` and the 0-d ``regularizer.theta``) is
-one base64 string of its little-endian float64 bytes in C order, which
-round-trips bit-exactly.  Dense symmetric matrices are stored as row-major
-lower triangles, which is also how ``QipInstance`` holds them (``lower``,
-one row per matrix), so a load decodes the bytes straight into that array,
-with no copy, and a save encodes it as it is.  Rank-one instances store the
-factor vectors a_i with A_i = a_i a_i^T.
+A file is one line of compact, sorted-key JSON, the header, then the
+little-endian C-order float64 bytes of ``b``, ``x_true`` (if the header's
+``x_true`` is true) and the ``matrices`` (row-major lower triangles, as in
+``QipInstance.lower``) or rank-one ``factors``.  A load reads them in one read
+into one ``bytes`` object that every array views and ``QipInstance`` keeps.  A
+payload is the header as a dict with the arrays (``x_true`` or None) in it.
 """
 
-import base64
-import binascii
 import json
 import math
+import os
 
 import numpy as np
 
 from .qip import L0Ball, L1, QipInstance, qip_value
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 DENSE_SYMMETRIC = "dense-symmetric"
 RANK_ONE = "rank-one"
 
-
-def _encode(a):
-    """Base64 of the little-endian float64 bytes of a, in C order."""
-    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _decode(text, shape, field):
-    """A read-only float64 view of the given shape of the ``bytes`` its :func:`_encode` text
-    decodes to, which ``QipInstance`` keeps uncopied.  ``a2b_base64`` reads an ASCII str in place."""
-    if not isinstance(text, str):
-        raise ValueError(f"field {field!r}: expected a base64 string, got {type(text).__name__}")
-    try:
-        raw = binascii.a2b_base64(text, strict_mode=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII string
-        raise ValueError(f"field {field!r}: invalid base64 ({exc})") from None
-    count = math.prod(shape)
-    if len(raw) != 8 * count:
-        raise ValueError(f"field {field!r}: expected {8 * count} bytes ({count} float64 values), "
-                         f"got {len(raw)}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape)
-
-
-def _reg_to_payload(reg):
-    if isinstance(reg, L1):
-        return {"kind": "l1", "theta": _encode(reg.theta)}
-    return {"kind": "l0", "s": int(reg.s)}
+_ARRAYS = ("b", "x_true", "matrices", "factors")  # in file order
 
 
 def _reg_from_payload(spec):
@@ -57,7 +29,10 @@ def _reg_from_payload(spec):
         raise ValueError("field 'regularizer': expected an object with a 'kind'")
     kind = spec["kind"]
     if kind == "l1":
-        return L1(theta=float(_decode(spec.get("theta"), (), "regularizer.theta")))
+        theta = spec.get("theta")
+        if type(theta) not in (int, float):
+            raise ValueError(f"field 'regularizer.theta': expected a number, got {theta!r}")
+        return L1(theta=float(theta))
     if kind == "l0":
         s = spec.get("s")
         if type(s) is not int:
@@ -66,72 +41,90 @@ def _reg_from_payload(spec):
     raise ValueError(f"field 'regularizer.kind': unknown kind {kind!r}")
 
 
+def _fields(header):
+    """The (name, shape) of each array the header announces, in file order; checks the header."""
+    if not isinstance(header, dict):
+        raise ValueError(f"expected a JSON object, got {type(header).__name__}")
+    if header.get("schema") != SCHEMA_VERSION:
+        raise ValueError(f"field 'schema': expected {SCHEMA_VERSION}, got {header.get('schema')!r}; "
+                         "regenerate the file with 'bpg generate'")
+    d, m = header.get("d"), header.get("m")
+    if type(d) is not int or type(m) is not int or d < 1 or m < 1:
+        raise ValueError(f"fields 'd'/'m' must be positive integers, got d={d!r}, m={m!r}")
+    if type(header.get("x_true")) is not bool:
+        raise ValueError(f"field 'x_true': expected true or false, got {header.get('x_true')!r}")
+    encoding = header.get("encoding")
+    if encoding not in (RANK_ONE, DENSE_SYMMETRIC):  # not a dict lookup: a list does not hash
+        raise ValueError(f"field 'encoding': unknown encoding {encoding!r}")
+    data = ("factors", (m, d)) if encoding == RANK_ONE else ("matrices", (m, d * (d + 1) // 2))
+    return [("b", (m,)), *([("x_true", (d,))] if header["x_true"] else []), data]
+
+
 def instance_to_payload(inst, x_true=None):
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "d": inst.d,
-        "m": inst.m,
-        "b": _encode(inst.b),
-        "regularizer": _reg_to_payload(inst.regularizer),
-        "x_true": None if x_true is None else _encode(x_true),
-    }
+    reg = inst.regularizer
+    payload = {"schema": SCHEMA_VERSION, "d": inst.d, "m": inst.m, "b": inst.b, "x_true": x_true,
+               "regularizer": ({"kind": "l1", "theta": float(reg.theta)} if isinstance(reg, L1)
+                               else {"kind": "l0", "s": int(reg.s)})}
     if inst.factors is not None:
-        payload["encoding"] = RANK_ONE
-        payload["factors"] = _encode(inst.factors)
+        payload.update(encoding=RANK_ONE, factors=inst.factors)
     else:
-        payload["encoding"] = DENSE_SYMMETRIC
-        payload["matrices"] = _encode(inst.lower)
+        payload.update(encoding=DENSE_SYMMETRIC, matrices=inst.lower)
     return payload
 
 
 def payload_to_instance(payload):
-    """Decode a payload dict; returns (instance, x_true-or-None), x_true a writable copy."""
-    if not isinstance(payload, dict):
-        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
-    if payload.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"field 'schema': expected {SCHEMA_VERSION}, got {payload.get('schema')!r}; "
-                         "regenerate the file with 'bpg generate'")
-    for key in ("d", "m", "encoding", "b", "regularizer"):
-        if key not in payload:
-            raise ValueError(f"missing required field {key!r}")
-    d, m = payload["d"], payload["m"]
-    if type(d) is not int or type(m) is not int or d < 1 or m < 1:
-        raise ValueError(f"fields 'd'/'m' must be positive integers, got d={d!r}, m={m!r}")
-    b = _decode(payload["b"], (m,), "b")
-    reg = _reg_from_payload(payload["regularizer"])
-    encoding = payload["encoding"]
-    if encoding == RANK_ONE:
-        factors = _decode(payload.get("factors"), (m, d), "factors")
-        inst = QipInstance(b=b, regularizer=reg, factors=factors)
-    elif encoding == DENSE_SYMMETRIC:
-        lower = _decode(payload.get("matrices"), (m, d * (d + 1) // 2), "matrices")
-        inst = QipInstance(b=b, regularizer=reg, lower=lower)
-    else:
-        raise ValueError(f"field 'encoding': unknown encoding {encoding!r}")
-    x_true = payload.get("x_true")
-    if x_true is not None:
-        x_true = _decode(x_true, (d,), "x_true").astype(float)
-    return inst, x_true
+    """Build a payload's instance; returns (instance, x_true-or-None), x_true a writable copy."""
+    arrays = {}
+    for name, shape in _fields({**payload, "x_true": payload.get("x_true") is not None}):
+        a = np.asarray(payload.get(name, ()), dtype=float)  # a loaded file's view stays a view
+        if a.size != math.prod(shape):
+            raise ValueError(f"field {name!r}: expected {math.prod(shape)} float64 values, got {a.size}")
+        arrays[name] = a.reshape(shape)
+    inst = QipInstance(b=arrays["b"], regularizer=_reg_from_payload(payload["regularizer"]),
+                       lower=arrays.get("matrices"), factors=arrays.get("factors"))
+    return inst, arrays["x_true"].copy() if "x_true" in arrays else None
 
 
 def save_instance(payload, path):
-    """Write a payload as deterministic JSON (sorted keys, fixed separators)."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    """Write a payload as a schema-3 file: the header line, then each array's bytes, uncopied."""
+    header = {key: value for key, value in payload.items() if key not in _ARRAYS}
+    header["x_true"] = payload.get("x_true") is not None
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":"), allow_nan=False).encode() + b"\n")
+        for name in _ARRAYS:
+            if payload.get(name) is not None:
+                fh.write(np.ascontiguousarray(payload[name], dtype="<f8"))
 
 
 def load_instance(path):
     """Read an instance file; returns (instance, x_true-or-None).  A bad file is a ValueError naming it.
 
-    Peaks at about twice the file size: the file's text and the string JSON parses from it."""
+    Reads the header line, then exactly the byte count it gives in one read, so
+    a load peaks at about the file size."""
     try:
-        with open(path, encoding="utf-8") as fh:  # not the locale's encoding
-            payload = json.load(fh)
+        with open(path, "rb") as fh:
+            line = fh.readline(1 << 16)  # a header takes about a hundred bytes
+            try:
+                header = json.loads(line.decode("utf-8"))
+            except json.JSONDecodeError as exc:  # as for an indented JSON file of schema 2 or older
+                raise ValueError(f"field 'schema': no JSON header line ({exc.msg}: character {exc.pos}); "
+                                 "regenerate the file with 'bpg generate'") from None
+            fields = _fields(header)
+            size = 8 * sum(math.prod(shape) for _, shape in fields)
+            held = os.fstat(fh.fileno()).st_size - fh.tell()  # bytes after the header
+            raw = fh.read(min(size, max(held, 0)))
+        payload, offset = {**header, "x_true": None}, 0
+        for name, shape in fields:
+            count = math.prod(shape)
+            if len(raw) < offset + 8 * count:
+                raise ValueError(f"field {name!r}: the file ends {offset + 8 * count - len(raw)} bytes "
+                                 f"short of its {count} float64 values")
+            payload[name] = np.frombuffer(raw, "<f8", count, offset)
+            offset += 8 * count
+        if held > size:
+            raise ValueError(f"{held - size} bytes follow the last field {name!r}")
         return payload_to_instance(payload)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except (ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise ValueError(f"{path}: {exc}") from None
 
 

@@ -75,7 +75,7 @@ class L0Ball:
 
 def _read_only(a):
     """a as a read-only C-ordered float64 array that no caller can write: a itself
-    where an immutable ``bytes`` object owns its memory (a decoded instance
+    where an immutable ``bytes`` object owns its memory (a loaded instance
     file), else a copy, as of any caller's array or of a view of one."""
     base = a.base if type(a) is np.ndarray else None
     while isinstance(base, np.ndarray):
@@ -87,7 +87,8 @@ def _read_only(a):
 
 
 def _check_finite(a, name):
-    if not np.isfinite(a).all():
+    # min and max propagate NaN, and unlike isfinite(a) make no temporary the size of a
+    if not (math.isfinite(a.min(initial=0.0)) and math.isfinite(a.max(initial=0.0))):
         raise ValueError(f"{name} must be finite")
 
 
@@ -128,9 +129,12 @@ class QipInstance:
                 # before the symmetry check, which a NaN gap passes
                 _check_finite(matrices, "matrices")
                 check_symmetric(matrices)
-                rows, cols = np.tril_indices(matrices.shape[1])
-                lower = matrices[:, rows, cols]
-            lower = _read_only(lower)
+                # a new C-ordered array that no caller holds, so it is frozen, not copied
+                tri = np.tri(matrices.shape[1], dtype=bool).ravel()  # in np.tril_indices order
+                lower = matrices.reshape(len(matrices), tri.size).compress(tri, axis=1)
+                lower.flags.writeable = False
+            else:
+                lower = _read_only(lower)
             n = lower.shape[1] if lower.ndim == 2 else 0
             d = (math.isqrt(8 * n + 1) - 1) // 2
             if n < 1 or d * (d + 1) // 2 != n:

@@ -49,8 +49,11 @@ def check_symmetric(A):
     """
     A = np.asarray(A, dtype=float)
     if A.size:
-        gap = float(np.max(np.abs(A - np.swapaxes(A, -1, -2))))
-        bound = _SYMMETRY_TOL * float(np.max(np.abs(A)))
+        rows, cols = np.tril_indices(A.shape[-1], -1)
+        gap = A[..., rows, cols]
+        gap -= A[..., cols, rows]
+        gap = float(np.max(np.abs(gap, out=gap), initial=0.0))
+        bound = _SYMMETRY_TOL * max(-float(A.min()), float(A.max()))
         if gap > bound:
             raise ValueError(f"matrix is not symmetric: max |A - A^T| = {gap:.3e} > {bound:.1e}"
                              f" ({_SYMMETRY_TOL:.0e} of max |A|)")

@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -26,15 +27,6 @@ from bpg.instances import (
     payload_to_instance,
     save_instance,
 )
-
-
-def b64(values):
-    """Base64 of little-endian float64 bytes, written without the package's codec."""
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
-
-
-def unb64(text):
-    return np.frombuffer(base64.b64decode(text), dtype="<f8")
 
 
 def reject(constant):
@@ -113,16 +105,18 @@ class TestRoundTrip:
         np.testing.assert_array_equal(x_loaded, x_true)
 
     def test_dense_packed_rows_bit_exact(self, tmp_path):
-        payload, inst, _ = generate_instance(d=7, m=5, s_true=2, noise=0.1, seed=12,
-                                             kind="dense-symmetric")
-        path = tmp_path / "inst.json"
+        payload, inst, x_true = generate_instance(d=7, m=5, s_true=2, noise=0.1, seed=12,
+                                                  kind="dense-symmetric")
+        path, again = tmp_path / "inst.json", tmp_path / "again.json"
         save_instance(payload, path)
-        loaded, _ = load_instance(path)
-        rows = unb64(payload["matrices"]).reshape(5, 28)
-        assert loaded.lower.tobytes() == rows.tobytes() == inst.lower.tobytes()
+        loaded, x_loaded = load_instance(path)
+        # after the header line: b, x_true, then the 5 rows of 28 packed values
+        data = np.frombuffer(path.read_bytes().split(b"\n", 1)[1], dtype="<f8")
+        assert data.size == 5 + 7 + 5 * 28
+        assert loaded.lower.tobytes() == data[12:].tobytes() == inst.lower.tobytes()
         # read-only float64, sharing memory with no writable array: every
         # array down the chain of bases is read-only, and the memory is the
-        # decoded bytes (or an array that owns it)
+        # bytes the file was read into (or an array that owns it)
         for a in (loaded.lower, loaded.b):
             assert a.dtype == np.float64 and not a.flags.writeable
             base = a
@@ -130,24 +124,44 @@ class TestRoundTrip:
                 assert not base.flags.writeable
                 base = base.base
             assert base is None or isinstance(base, bytes)
-        assert instance_to_payload(loaded)["matrices"] == payload["matrices"]
+        # x_true is the caller's own, writable copy
+        assert x_loaded.flags.writeable and not np.shares_memory(x_loaded, loaded.b)
+        save_instance(instance_to_payload(loaded, x_loaded), again)
+        assert again.read_bytes() == path.read_bytes()
 
-    def test_dense_load_peaks_near_the_file_size(self, tmp_path):
-        # the benchmark's dense size; the floor is the file's text plus the
-        # string JSON parses from it, 2x the file, and every copy of the
-        # matrices past the decoded bytes adds 0.75x
+    @pytest.fixture()
+    def benchmark_dense_file(self, tmp_path):
         payload, _, _ = generate_instance(d=64, m=256, s_true=4, noise=0.0, seed=1,
                                           kind="dense-symmetric")
         path = tmp_path / "dense.json"
         save_instance(payload, path)
-        del payload
+        return payload, path
+
+    def test_dense_load_peaks_near_the_file_size(self, benchmark_dense_file):
+        # the benchmark's dense size; the floor is the one bytes object the
+        # data is read into, and every copy of the matrices adds 1x
+        _, path = benchmark_dense_file
         tracemalloc.start()
         try:
             load_instance(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * path.stat().st_size
+        assert peak <= 1.1 * path.stat().st_size
+
+    def test_save_peaks_near_the_file_size(self, benchmark_dense_file, tmp_path):
+        # a save writes the arrays' own memory; a tobytes() copy of the
+        # matrices alone would take 1x the file
+        payload, path = benchmark_dense_file
+        again = tmp_path / "again.json"
+        tracemalloc.start()
+        try:
+            save_instance(payload, again)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again.read_bytes() == path.read_bytes()
+        assert peak <= 1.1 * again.stat().st_size
 
     def test_rank_one_bit_exact(self, tmp_path):
         payload, inst, _ = generate_instance(d=4, m=6, s_true=1, noise=0.0, seed=10)
@@ -157,42 +171,92 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded.factors, inst.factors)
         np.testing.assert_array_equal(loaded.b, inst.b)
 
-    def test_dense_golden_lower_triangle(self):
-        # the row-major lower triangle a00, a10, a11, a20, a21, a22 =
-        # 1, -0.5, 2, 0.1, 3, -1.5 as little-endian float64 bytes
-        tri = "AAAAAAAA8D8AAAAAAADgvwAAAAAAAABAmpmZmZmZuT8AAAAAAAAIQAAAAAAAAPi/"
-        payload = {
-            "schema": 2, "d": 3, "m": 1, "encoding": "dense-symmetric",
-            "b": "AAAAAAAA8D8=", "regularizer": {"kind": "l0", "s": 1},
-            "x_true": None, "matrices": tri,
-        }
-        inst, _ = payload_to_instance(payload)
+    def test_dense_golden_lower_triangle(self, tmp_path):
+        # the header line, then b = 1 and the row-major lower triangle a00,
+        # a10, a11, a20, a21, a22 = 1, -0.5, 2, 0.1, 3, -1.5, as little-endian
+        # float64 bytes
+        golden = (b'{"d":3,"encoding":"dense-symmetric","m":1,'
+                  b'"regularizer":{"kind":"l0","s":1},"schema":3,"x_true":false}\n'
+                  + bytes.fromhex("000000000000f03f" "000000000000f03f" "000000000000e0bf"
+                                  "0000000000000040" "9a9999999999b93f" "0000000000000840"
+                                  "000000000000f8bf"))
+        path = tmp_path / "golden.json"
+        path.write_bytes(golden)
+        inst, x_true = load_instance(path)
         expected = np.array([[1.0, -0.5, 0.1],
                              [-0.5, 2.0, 3.0],
                              [0.1, 3.0, -1.5]])
         np.testing.assert_array_equal(dense_stack(inst)[0], expected)
-        assert instance_to_payload(inst)["matrices"] == tri
+        assert x_true is None
+        save_instance(instance_to_payload(inst), path)
+        assert path.read_bytes() == golden
 
-    def test_l1_regularizer_round_trip(self):
+    def test_l1_regularizer_round_trip(self, tmp_path):
         _, inst, _ = generate_instance(d=4, m=6, s_true=1, noise=0.0, seed=11,
                                        regularizer=L1(theta=0.37))
         payload = instance_to_payload(inst)
         loaded, _ = payload_to_instance(payload)
         assert isinstance(loaded.regularizer, L1)
         assert loaded.regularizer.theta == 0.37
+        # theta is a JSON number in the header, which repr round-trips exactly
+        path = tmp_path / "inst.json"
+        save_instance(payload, path)
+        assert b'"regularizer":{"kind":"l1","theta":0.37}' in path.read_bytes().split(b"\n")[0]
+        assert load_instance(path)[0].regularizer.theta == 0.37
+
+
+def small_file(kind="rank-one"):
+    """The header and arrays of a d=4, m=4 instance, to edit and write with :func:`write_file`."""
+    payload, _, _ = generate_instance(d=4, m=4, s_true=1, noise=0.0, seed=0, kind=kind)
+    field = "factors" if kind == "rank-one" else "matrices"
+    header = {key: payload[key] for key in ("d", "encoding", "m", "regularizer", "schema")}
+    return {**header, "x_true": True}, [payload["b"], payload["x_true"], payload[field]]
+
+
+def write_file(path, header, arrays):
+    """A schema-3 file written without the package's writer: the header as one
+    JSON line, then each array's little-endian float64 bytes (a ``bytes`` item as it is)."""
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n")
+        for a in arrays:
+            fh.write(a if isinstance(a, bytes) else np.asarray(a, dtype="<f8").tobytes())
+    return path
+
+
+def assert_one_error_line(capsys, path, message, argvs=(["check", "--instance"],)):
+    """Each verb in ``argvs`` exits 2 on the file and prints one ``error: <path>: ...``
+    line, which holds ``message``; returns that line."""
+    for argv in argvs:
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: ") and message in err[0]
+        assert captured.out == ""
+    return err[0]
 
 
 class TestValidation:
     def test_bad_schema_version(self, tmp_path, capsys):
         payload, inst, x_true = generate_instance(d=4, m=4, s_true=1, noise=0.0, seed=0)
-        # a schema-1 file: one hexadecimal float string per value
-        schema_1 = {**payload, "schema": 1,
-                    "b": [v.hex() for v in inst.b.tolist()],
+        # the JSON object that schema 2 wrote, indented, with each array one
+        # base64 string of its float64 bytes; schema 1 wrote hexadecimal floats
+        def b64(a):
+            return base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode()
+
+        schema_2 = {"schema": 2, "d": 4, "m": 4, "encoding": "rank-one", "b": b64(inst.b),
+                    "factors": b64(inst.factors), "x_true": b64(x_true),
+                    "regularizer": {"kind": "l0", "s": 1}}
+        schema_1 = {**schema_2, "schema": 1, "b": [v.hex() for v in inst.b.tolist()],
                     "factors": [[v.hex() for v in row] for row in inst.factors.tolist()],
                     "x_true": [v.hex() for v in x_true.tolist()]}
         path, out = tmp_path / "bad.json", tmp_path / "run"
-        for bad in ({**payload, "schema": 99}, schema_1):
-            save_instance(bad, path)
+        header, arrays = small_file()
+        write_file(path, {**header, "schema": 99}, arrays)
+        files = [path.read_bytes()]
+        for old in (schema_2, schema_1):
+            files.append(json.dumps(old, sort_keys=True, indent=1).encode() + b"\n")
+        for content in files:
+            path.write_bytes(content)
             with pytest.raises(ValueError, match="schema"):
                 load_instance(path)
             for argv in (["check", "--instance", str(path)],
@@ -211,111 +275,112 @@ class TestValidation:
         with pytest.raises(ValueError, match="1 <= s < d"):
             load_instance(path)
 
-    def test_dimension_mismatch_rejected(self, tmp_path):
+    def test_dimension_mismatch_rejected(self, tmp_path, capsys):
+        # b one value short of m: the payload names b; in a file the data
+        # after b shifts, and the file comes up short in its last field
         payload, _, _ = generate_instance(d=4, m=4, s_true=1, noise=0.0, seed=0)
-        payload["b"] = b64(unb64(payload["b"])[:-1])
+        payload["b"] = payload["b"][:-1]
+        with pytest.raises(ValueError, match=r"'b': expected 4 float64 values, got 3$"):
+            payload_to_instance(payload)
         path = tmp_path / "bad.json"
         save_instance(payload, path)
-        with pytest.raises(ValueError, match="'b'"):
-            load_instance(path)
+        assert_one_error_line(capsys, path, "field 'factors': the file ends 8 bytes short")
 
     @pytest.mark.parametrize("edit, field", [
-        (lambda p: [p], "JSON object"),
-        (lambda p: {k: v for k, v in p.items() if k != "b"}, "missing required field 'b'"),
-        (lambda p: {**p, "encoding": "sparse"}, "field 'encoding': unknown encoding 'sparse'"),
-        (lambda p: {**p, "regularizer": "l0"},
+        (lambda h, a: ([h], a), "JSON object"),
+        (lambda h, a: (h, a[1:]), "'factors': the file ends 32 bytes short of its 16 float64 values"),
+        (lambda h, a: ({**h, "encoding": "sparse"}, a),
+         "field 'encoding': unknown encoding 'sparse'"),
+        (lambda h, a: ({**h, "encoding": ["rank-one"]}, a),
+         "field 'encoding': unknown encoding ['rank-one']"),
+        (lambda h, a: ({**h, "regularizer": "l0"}, a),
          "field 'regularizer': expected an object with a 'kind'"),
-        (lambda p: {**p, "regularizer": {"kind": "l2"}},
+        (lambda h, a: ({**h, "regularizer": {"kind": "l2"}}, a),
          "field 'regularizer.kind': unknown kind 'l2'"),
-        (lambda p: {**p, "regularizer": {"kind": "l1"}}, "regularizer.theta"),
-        (lambda p: {**p, "regularizer": {"kind": "l1", "theta": 0.1}}, "regularizer.theta"),
-        (lambda p: {**p, "regularizer": {"kind": "l0"}}, "regularizer.s"),
-        (lambda p: {**p, "d": None}, "'d'"),
-        (lambda p: {**p, "factors": 3}, "'factors': expected a base64 string, got int"),
-        # "1234" and "abcd" are valid base64 for 3 bytes, not 4 float64 values
-        (lambda p: {**p, "b": "1234"}, r"'b': expected 32 bytes \(4 float64 values\), got 3$"),
-        (lambda p: {**p, "x_true": "abcd"},
-         r"'x_true': expected 32 bytes \(4 float64 values\), got 3$"),
-    ], ids=["not-an-object", "b-missing", "unknown-encoding", "regularizer-not-an-object",
-            "unknown-regularizer", "theta-missing", "theta-not-a-string", "s-missing", "d-null",
-            "factors-not-a-string", "b-three-bytes", "x-true-three-bytes"])
+        (lambda h, a: ({**h, "regularizer": {"kind": "l1"}}, a), "regularizer.theta"),
+        (lambda h, a: ({**h, "regularizer": {"kind": "l1", "theta": "0.1"}}, a),
+         "field 'regularizer.theta': expected a number, got '0.1'"),
+        (lambda h, a: ({**h, "regularizer": {"kind": "l0"}}, a), "regularizer.s"),
+        (lambda h, a: ({**h, "d": None}, a), "'d'"),
+        (lambda h, a: ({**h, "x_true": 1}, a), "field 'x_true': expected true or false, got 1"),
+        (lambda h, a: ({k: v for k, v in h.items() if k != "x_true"}, a),
+         "field 'x_true': expected true or false, got None"),
+        (lambda h, a: (h, [*a[:2], [3.0]]),
+         "'factors': the file ends 120 bytes short of its 16 float64 values"),
+        (lambda h, a: (h, [a[0].tobytes()[:3]]),
+         "'b': the file ends 29 bytes short of its 4 float64 values"),
+        (lambda h, a: (h, [a[0], a[1].tobytes()[:3]]),
+         "'x_true': the file ends 29 bytes short of its 4 float64 values"),
+        (lambda h, a: ({**h, "x_true": False}, a), "32 bytes follow the last field 'factors'"),
+        # the data is read only up to the file's end, never the 8 TB the header claims
+        (lambda h, a: ({**h, "d": 10**6, "m": 10**6}, a),
+         "'b': the file ends 7999808 bytes short of its 1000000 float64 values"),
+    ], ids=["not-an-object", "b-missing", "unknown-encoding", "encoding-a-list",
+            "regularizer-not-an-object", "unknown-regularizer", "theta-missing", "theta-a-string",
+            "s-missing", "d-null", "x-true-not-a-bool", "x-true-missing", "factors-a-number",
+            "b-three-bytes", "x-true-three-bytes", "x-true-unannounced", "huge-dimensions"])
     def test_payload_shape_rejected(self, tmp_path, capsys, edit, field):
-        payload, _, _ = generate_instance(d=4, m=4, s_true=1, noise=0.0, seed=0)
-        path = tmp_path / "bad.json"
-        save_instance(edit(payload), path)
-        with pytest.raises(ValueError, match=field):
+        path = write_file(tmp_path / "bad.json", *edit(*small_file()))
+        with pytest.raises(ValueError, match=re.escape(field)):
             load_instance(path)
-        assert main(["check", "--instance", str(path)]) == 2
-        assert f"error: {path}: " in capsys.readouterr().err
+        assert_one_error_line(capsys, path, field)
 
     @pytest.mark.parametrize("kind, field", [
         ("rank-one", "b"), ("dense-symmetric", "b"),
         ("rank-one", "factors"), ("dense-symmetric", "matrices"),
     ])
     def test_non_finite_data_rejected(self, tmp_path, capsys, kind, field):
-        payload, _, _ = generate_instance(d=4, m=4, s_true=1, noise=0.0, seed=0, kind=kind)
-        values = unb64(payload[field]).copy()
-        values[-1] = np.nan
-        payload[field] = b64(values)
-        path = tmp_path / "bad.json"
-        save_instance(payload, path)
-        assert main(["check", "--instance", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert f"error: {path}: {field} must be finite" in err
-        assert "only zero measurement matrices" not in err
+        header, arrays = small_file(kind)
+        arrays = [a.copy() for a in arrays]
+        arrays[0 if field == "b" else 2].reshape(-1)[-1] = np.nan
+        path = write_file(tmp_path / "bad.json", header, arrays)
+        line = assert_one_error_line(capsys, path, f"{field} must be finite")
+        assert "only zero measurement matrices" not in line
 
     @pytest.mark.parametrize("kind, field, n", [
         ("rank-one", "factors", 4), ("dense-symmetric", "matrices", 10),
     ])
-    @pytest.mark.parametrize("edit", [
-        lambda text, n: b64(unb64(text)[:-1]),
-        lambda text, n: b64(np.append(unb64(text), 1.0)),
-        lambda text, n: [b64(row) for row in unb64(text).reshape(-1, n)],
-        lambda text, n: None,
-        lambda text, n: text[:-6] + "." + text[-5:],
-        lambda text, n: text + "\n",
-        lambda text, n: text.rstrip("="),
-        lambda text, n: text[:8] + "\u00e9" + text[9:],
-        lambda text, n: text[:4] + "AA==" + text[4:],
-    ], ids=["short-row", "long-row", "row-a-string", "row-null", "non-hex-in-last-row",
-            "stray-newline", "no-padding", "non-ascii", "data-after-padding"])
-    def test_bad_rows_name_the_field(self, tmp_path, capsys, kind, field, n, edit):
-        # all m rows are one base64 string of m * n float64 values
-        payload, _, _ = generate_instance(d=4, m=5, s_true=1, noise=0.0, seed=0, kind=kind)
-        assert unb64(payload[field]).size == 5 * n
-        payload[field] = edit(payload[field], n)
-        with pytest.raises(ValueError, match=f"'{field}'"):
-            payload_to_instance(payload)
-        path = tmp_path / "bad.json"
-        save_instance(payload, path)
-        assert main(["check", "--instance", str(path)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {path}: field '{field}'")
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: [rows[:-1]], "the file ends 8 bytes short of its"),
+        (lambda rows: [np.append(rows, 1.0)], "8 bytes follow the last field"),
+        (lambda rows: [], "short of its"),
+        (lambda rows: [rows, b"\n"], "1 bytes follow the last field"),
+        (lambda rows: [rows[:-1], b"\0" * 5], "the file ends 3 bytes short of its"),
+    ], ids=["short-row", "long-row", "row-null", "stray-newline", "partial-value"])
+    def test_bad_rows_name_the_field(self, tmp_path, capsys, kind, field, n, edit, message):
+        # the m rows of n values are the last field of the file
+        header, (b, x_true, rows) = small_file(kind)
+        assert rows.shape == (4, n)
+        path = write_file(tmp_path / "bad.json", header, [b, x_true, *edit(rows.reshape(-1))])
+        with pytest.raises(ValueError, match=f"'{field}'") as excinfo:
+            load_instance(path)
+        assert message in str(excinfo.value)
+        assert_one_error_line(capsys, path, f"'{field}'")
 
     @pytest.mark.parametrize("content, message", [
-        # past the parser's recursion limit
+        # past the parser's recursion limit, in a first line of 64 KiB
         (b"[" * 200_000, "maximum recursion depth exceeded"),
         # a Latin-1 e-acute
-        (b'{"schema": 2, "d": "caf\xe9"}\n', "'utf-8' codec can't decode byte 0xe9"),
-    ], ids=["nested-too-deep", "not-utf-8"])
+        (b'{"schema": 3, "d": "caf\xe9"}\n', "'utf-8' codec can't decode byte 0xe9"),
+        (b"", "field 'schema': no JSON header line"),
+        # the first line is read up to 64 KiB, which cuts this string short
+        (b'{"schema": 3, "note": "' + b"x" * 70_000 + b'"}\n',
+         "no JSON header line (Unterminated string starting at: character 22)"),
+    ], ids=["nested-too-deep", "not-utf-8", "empty", "header-past-64-kib"])
     def test_unreadable_file_is_one_error_line(self, tmp_path, capsys, content, message):
         path, out = tmp_path / "bad.json", tmp_path / "run"
         path.write_bytes(content)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_instance(path)
-        for argv in (["check", "--instance", str(path)],
-                     ["solve", "--instance", str(path), "--out", str(out)]):
-            assert main(argv) == 2
-            captured = capsys.readouterr()
-            err = captured.err.splitlines()
-            assert len(err) == 1 and err[0].startswith(f"error: {path}: ") and message in err[0]
-            assert captured.out == ""
+        assert_one_error_line(capsys, path, message,
+                              (["check", "--instance"], ["solve", "--out", str(out), "--instance"]))
         assert sorted(tmp_path.iterdir()) == [path]
 
     def test_invalid_json_reports_line(self, tmp_path):
+        # the header line is checked as JSON on its own; the error gives its position
         path = tmp_path / "broken.json"
-        path.write_text('{"schema": 1,\n "d": }\n')
-        with pytest.raises(ValueError, match="line 2"):
+        path.write_text('{"schema": 3, "d": }\n')
+        with pytest.raises(ValueError, match=r"no JSON header line \(Expecting value: character 19\)"):
             load_instance(path)
 
 

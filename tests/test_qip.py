@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,28 @@ class TestInstance:
         held = [v for v in vars(inst).values() if isinstance(v, np.ndarray)]
         assert max(v.size for v in held) == m * n
         assert not hasattr(inst, "matrices")
+
+    def test_matrices_build_peaks_near_twice_the_packed_rows(self):
+        # bpg generate's path at the benchmark's dense size.  The symmetry
+        # check holds the strictly lower and upper halves of the stack, just
+        # under 2x the packed rows, and frees them before the rows are packed
+        # and frozen in place; a full (m, d, d) temporary adds 2x, and a copy
+        # of the packed rows 1x.
+        rng = np.random.default_rng(30)
+        d, m = 64, 256
+        raw = rng.standard_normal((m, d, d))
+        matrices = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
+        b = rng.standard_normal(m)
+        del raw
+        tracemalloc.start()
+        try:
+            inst = QipInstance(b=b, regularizer=L1(0.1), matrices=matrices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.lower.flags.c_contiguous and not inst.lower.flags.writeable
+        np.testing.assert_array_equal(inst.lower, matrices[:, *np.tril_indices(d)])
+        assert peak <= 2.0 * inst.lower.nbytes
 
     @pytest.mark.parametrize("shape", [(3,), (2, 4), (2, 0), (2, 3, 3)])
     def test_lower_needs_triangular_rows(self, shape):

@@ -18,7 +18,7 @@ from bpg import (
     qip_gradient,
     smad,
 )
-from bpg.smad import spectral_norm
+from bpg.smad import check_symmetric, spectral_norm
 
 
 class TestSpectralNorm:
@@ -62,6 +62,22 @@ class TestSpectralNorm:
         for gap in (1.0, 5e-11):
             with pytest.raises(ValueError, match="not symmetric"):
                 spectral_norm(np.array([[0.0, gap], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("share", [0.5, 0.999, 1.001, 2.0])
+    def test_stack_gap_is_the_full_difference(self, share):
+        # the packed halves give the gap and bound of max |A - A^T| over the
+        # whole stack, against 1e-10 max |A|, and the same outcome either side
+        rng = np.random.default_rng(31)
+        A = rng.standard_normal((3, 5, 5))
+        A = A + np.swapaxes(A, 1, 2)
+        A[-1, 1, 3] += share * 1e-10 * np.max(np.abs(A))
+        gap, bound = np.max(np.abs(A - np.swapaxes(A, 1, 2))), 1e-10 * np.max(np.abs(A))
+        if gap > bound:
+            with pytest.raises(ValueError, match=f"= {gap:.3e} > {bound:.1e}"):
+                check_symmetric(A)
+        else:
+            assert check_symmetric(A) is A
+        assert (gap > bound) == (share > 1)
 
     def test_rounding_asymmetry_accepted_at_any_scale(self):
         A = np.array([[2.0, 1.0], [1.0 + 1e-15, -3.0]])
