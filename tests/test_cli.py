@@ -346,7 +346,14 @@ class TestValidation:
         (lambda rows: [], "short of its"),
         (lambda rows: [rows, b"\n"], "1 bytes follow the last field"),
         (lambda rows: [rows[:-1], b"\0" * 5], "the file ends 3 bytes short of its"),
-    ], ids=["short-row", "long-row", "row-null", "stray-newline", "partial-value"])
+        # the rows as a JSON string of their bytes' hex digits, 2 characters a byte
+        (lambda rows: [json.dumps(rows.tobytes().hex()).encode()], "bytes follow the last field"),
+        # a UTF-8 e-acute for one byte of the first value: the data is counted
+        # in bytes, and the 2-byte character leaves one too many
+        (lambda rows: [rows.tobytes()[:8] + "\u00e9".encode() + rows.tobytes()[9:]],
+         "1 bytes follow the last field"),
+    ], ids=["short-row", "long-row", "row-null", "stray-newline", "partial-value",
+            "row-a-string", "non-ascii"])
     def test_bad_rows_name_the_field(self, tmp_path, capsys, kind, field, n, edit, message):
         # the m rows of n values are the last field of the file
         header, (b, x_true, rows) = small_file(kind)
