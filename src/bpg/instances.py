@@ -11,6 +11,7 @@ payload is the header as a dict with the arrays (``x_true`` or None) in it.
 import json
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -24,25 +25,8 @@ RANK_ONE = "rank-one"
 _ARRAYS = ("b", "x_true", "matrices", "factors")  # in file order
 
 
-def _reg_from_payload(spec):
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("field 'regularizer': expected an object with a 'kind'")
-    kind = spec["kind"]
-    if kind == "l1":
-        theta = spec.get("theta")
-        if type(theta) not in (int, float):
-            raise ValueError(f"field 'regularizer.theta': expected a number, got {theta!r}")
-        return L1(theta=float(theta))
-    if kind == "l0":
-        s = spec.get("s")
-        if type(s) is not int:
-            raise ValueError(f"field 'regularizer.s': expected an integer, got {s!r}")
-        return L0Ball(s=s)
-    raise ValueError(f"field 'regularizer.kind': unknown kind {kind!r}")
-
-
-def _fields(header):
-    """The (name, shape) of each array the header announces, in file order; checks the header."""
+def _decode(header):
+    """Check every header field; returns the regularizer and each array's (name, shape), in file order."""
     if not isinstance(header, dict):
         raise ValueError(f"expected a JSON object, got {type(header).__name__}")
     if header.get("schema") != SCHEMA_VERSION:
@@ -56,8 +40,21 @@ def _fields(header):
     encoding = header.get("encoding")
     if encoding not in (RANK_ONE, DENSE_SYMMETRIC):  # not a dict lookup: a list does not hash
         raise ValueError(f"field 'encoding': unknown encoding {encoding!r}")
+    spec = header.get("regularizer")
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ValueError("field 'regularizer': expected an object with a 'kind'")
+    kind, theta, s = spec["kind"], spec.get("theta"), spec.get("s")
+    if kind not in ("l1", "l0"):  # a tuple, as for the encoding: a list does not hash
+        raise ValueError(f"field 'regularizer.kind': unknown kind {kind!r}")
+    if kind == "l1" and type(theta) not in (int, float):
+        raise ValueError(f"field 'regularizer.theta': expected a number, got {theta!r}")
+    if kind == "l1" and type(theta) is int and abs(theta) > sys.float_info.max:  # float() would overflow
+        raise ValueError(f"field 'regularizer.theta': {theta} is past the float64 range")
+    if kind == "l0" and type(s) is not int:
+        raise ValueError(f"field 'regularizer.s': expected an integer, got {s!r}")
+    regularizer = L1(theta=float(theta)) if kind == "l1" else L0Ball(s=s)
     data = ("factors", (m, d)) if encoding == RANK_ONE else ("matrices", (m, d * (d + 1) // 2))
-    return [("b", (m,)), *([("x_true", (d,))] if header["x_true"] else []), data]
+    return regularizer, [("b", (m,)), *([("x_true", (d,))] if header["x_true"] else []), data]
 
 
 def instance_to_payload(inst, x_true=None):
@@ -74,13 +71,14 @@ def instance_to_payload(inst, x_true=None):
 
 def payload_to_instance(payload):
     """Build a payload's instance; returns (instance, x_true-or-None), x_true a writable copy."""
+    regularizer, fields = _decode({**payload, "x_true": payload.get("x_true") is not None})
     arrays = {}
-    for name, shape in _fields({**payload, "x_true": payload.get("x_true") is not None}):
-        a = np.asarray(payload.get(name, ()), dtype=float)  # a loaded file's view stays a view
+    for name, shape in fields:
+        a = np.asarray(payload.get(name, ()), dtype=float)
         if a.size != math.prod(shape):
             raise ValueError(f"field {name!r}: expected {math.prod(shape)} float64 values, got {a.size}")
         arrays[name] = a.reshape(shape)
-    inst = QipInstance(b=arrays["b"], regularizer=_reg_from_payload(payload["regularizer"]),
+    inst = QipInstance(b=arrays["b"], regularizer=regularizer,
                        lower=arrays.get("matrices"), factors=arrays.get("factors"))
     return inst, arrays["x_true"].copy() if "x_true" in arrays else None
 
@@ -109,21 +107,23 @@ def load_instance(path):
             except json.JSONDecodeError as exc:  # as for an indented JSON file of schema 2 or older
                 raise ValueError(f"field 'schema': no JSON header line ({exc.msg}: character {exc.pos}); "
                                  "regenerate the file with 'bpg generate'") from None
-            fields = _fields(header)
+            regularizer, fields = _decode(header)
             size = 8 * sum(math.prod(shape) for _, shape in fields)
             held = os.fstat(fh.fileno()).st_size - fh.tell()  # bytes after the header
             raw = fh.read(min(size, max(held, 0)))
-        payload, offset = {**header, "x_true": None}, 0
+        arrays, offset = {}, 0
         for name, shape in fields:
             count = math.prod(shape)
             if len(raw) < offset + 8 * count:
                 raise ValueError(f"field {name!r}: the file ends {offset + 8 * count - len(raw)} bytes "
                                  f"short of its {count} float64 values")
-            payload[name] = np.frombuffer(raw, "<f8", count, offset)
+            arrays[name] = np.frombuffer(raw, "<f8", count, offset).reshape(shape)
             offset += 8 * count
         if held > size:
             raise ValueError(f"{held - size} bytes follow the last field {name!r}")
-        return payload_to_instance(payload)
+        inst = QipInstance(b=arrays["b"], regularizer=regularizer,
+                           lower=arrays.get("matrices"), factors=arrays.get("factors"))
+        return inst, arrays["x_true"].copy() if "x_true" in arrays else None
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise ValueError(f"{path}: {exc}") from None
 

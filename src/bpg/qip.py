@@ -133,14 +133,14 @@ class QipInstance:
                 tri = np.tri(matrices.shape[1], dtype=bool).ravel()  # in np.tril_indices order
                 lower = matrices.reshape(len(matrices), tri.size).compress(tri, axis=1)
                 lower.flags.writeable = False
-            else:
+            else:  # a matrices= stack is checked whole above
                 lower = _read_only(lower)
+                _check_finite(lower, "matrices")
             n = lower.shape[1] if lower.ndim == 2 else 0
             d = (math.isqrt(8 * n + 1) - 1) // 2
             if n < 1 or d * (d + 1) // 2 != n:
                 raise ValueError(f"lower must have shape (m, d(d+1)/2), got {lower.shape}")
             m = lower.shape[0]
-            _check_finite(lower, "matrices")
             self.lower = lower
             rows, cols = np.tril_indices(d)
             # packed index of entry (j, k) of a symmetric matrix

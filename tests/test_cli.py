@@ -315,15 +315,25 @@ class TestValidation:
         # the data is read only up to the file's end, never the 8 TB the header claims
         (lambda h, a: ({**h, "d": 10**6, "m": 10**6}, a),
          "'b': the file ends 7999808 bytes short of its 1000000 float64 values"),
+        (lambda h, a: ({k: v for k, v in h.items() if k != "regularizer"}, a),
+         "field 'regularizer': expected an object with a 'kind'"),
+        (lambda h, a: ({**h, "regularizer": {"kind": "l1", "theta": 10**400}}, a),
+         "field 'regularizer.theta': 1" + "0" * 400 + " is past the float64 range"),
+        # the whole header is checked before the data is read, or found short
+        (lambda h, a: ({**h, "d": 10**6, "m": 10**6, "regularizer": {"kind": "l2"}}, a),
+         "field 'regularizer.kind': unknown kind 'l2'"),
     ], ids=["not-an-object", "b-missing", "unknown-encoding", "encoding-a-list",
             "regularizer-not-an-object", "unknown-regularizer", "theta-missing", "theta-a-string",
             "s-missing", "d-null", "x-true-not-a-bool", "x-true-missing", "factors-a-number",
-            "b-three-bytes", "x-true-three-bytes", "x-true-unannounced", "huge-dimensions"])
+            "b-three-bytes", "x-true-three-bytes", "x-true-unannounced", "huge-dimensions",
+            "regularizer-missing", "theta-past-float64", "header-before-body"])
     def test_payload_shape_rejected(self, tmp_path, capsys, edit, field):
-        path = write_file(tmp_path / "bad.json", *edit(*small_file()))
+        path, out = write_file(tmp_path / "bad.json", *edit(*small_file())), tmp_path / "run"
         with pytest.raises(ValueError, match=re.escape(field)):
             load_instance(path)
-        assert_one_error_line(capsys, path, field)
+        assert_one_error_line(capsys, path, field,
+                              (["check", "--instance"], ["solve", "--out", str(out), "--instance"]))
+        assert sorted(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("kind, field", [
         ("rank-one", "b"), ("dense-symmetric", "b"),
