@@ -11,11 +11,10 @@ payload is the header as a dict with the arrays (``x_true`` or None) in it.
 import json
 import math
 import os
-import sys
 
 import numpy as np
 
-from .qip import L0Ball, L1, QipInstance, qip_value
+from .qip import L0Ball, L1, QipInstance, _check_sparsity, qip_value
 
 SCHEMA_VERSION = 3
 
@@ -43,16 +42,15 @@ def _decode(header):
     spec = header.get("regularizer")
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("field 'regularizer': expected an object with a 'kind'")
-    kind, theta, s = spec["kind"], spec.get("theta"), spec.get("s")
+    kind = spec["kind"]
     if kind not in ("l1", "l0"):  # a tuple, as for the encoding: a list does not hash
         raise ValueError(f"field 'regularizer.kind': unknown kind {kind!r}")
-    if kind == "l1" and type(theta) not in (int, float):
-        raise ValueError(f"field 'regularizer.theta': expected a number, got {theta!r}")
-    if kind == "l1" and type(theta) is int and abs(theta) > sys.float_info.max:  # float() would overflow
-        raise ValueError(f"field 'regularizer.theta': {theta} is past the float64 range")
-    if kind == "l0" and type(s) is not int:
-        raise ValueError(f"field 'regularizer.s': expected an integer, got {s!r}")
-    regularizer = L1(theta=float(theta)) if kind == "l1" else L0Ball(s=s)
+    param = "theta" if kind == "l1" else "s"
+    try:  # the regularizer's own rule, and s < d for the header's d
+        regularizer = (L1 if kind == "l1" else L0Ball)(spec.get(param))
+        _check_sparsity(regularizer, d)
+    except ValueError as exc:
+        raise ValueError(f"field 'regularizer.{param}': {exc}") from None
     data = ("factors", (m, d)) if encoding == RANK_ONE else ("matrices", (m, d * (d + 1) // 2))
     return regularizer, [("b", (m,)), *([("x_true", (d,))] if header["x_true"] else []), data]
 
@@ -60,27 +58,13 @@ def _decode(header):
 def instance_to_payload(inst, x_true=None):
     reg = inst.regularizer
     payload = {"schema": SCHEMA_VERSION, "d": inst.d, "m": inst.m, "b": inst.b, "x_true": x_true,
-               "regularizer": ({"kind": "l1", "theta": float(reg.theta)} if isinstance(reg, L1)
+               "regularizer": ({"kind": "l1", "theta": reg.theta} if isinstance(reg, L1)
                                else {"kind": "l0", "s": int(reg.s)})}
     if inst.factors is not None:
         payload.update(encoding=RANK_ONE, factors=inst.factors)
     else:
         payload.update(encoding=DENSE_SYMMETRIC, matrices=inst.lower)
     return payload
-
-
-def payload_to_instance(payload):
-    """Build a payload's instance; returns (instance, x_true-or-None), x_true a writable copy."""
-    regularizer, fields = _decode({**payload, "x_true": payload.get("x_true") is not None})
-    arrays = {}
-    for name, shape in fields:
-        a = np.asarray(payload.get(name, ()), dtype=float)
-        if a.size != math.prod(shape):
-            raise ValueError(f"field {name!r}: expected {math.prod(shape)} float64 values, got {a.size}")
-        arrays[name] = a.reshape(shape)
-    inst = QipInstance(b=arrays["b"], regularizer=regularizer,
-                       lower=arrays.get("matrices"), factors=arrays.get("factors"))
-    return inst, arrays["x_true"].copy() if "x_true" in arrays else None
 
 
 def save_instance(payload, path):

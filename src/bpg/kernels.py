@@ -30,7 +30,8 @@ class Kernel:
     dimension: int
 
     def __post_init__(self):
-        if not (isinstance(self.dimension, numbers.Integral) and self.dimension >= 1):
+        if not (isinstance(self.dimension, numbers.Integral) and type(self.dimension) is not bool
+                and self.dimension >= 1):
             raise ValueError(f"dimension must be a positive integer, got {self.dimension!r}")
         object.__setattr__(self, "dimension", int(self.dimension))
 

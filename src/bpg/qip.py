@@ -24,6 +24,7 @@ sum_i (3*||A_i||^2 + ||A_i||*|b_i|).
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +42,18 @@ _GRAM_BLOCK = 16
 
 @dataclass(frozen=True)
 class L1:
-    """l1-norm penalty theta * ||x||_1 with weight theta > 0."""
+    """l1-norm penalty theta * ||x||_1 with weight theta > 0, stored as a float."""
 
     theta: float
 
     def __post_init__(self):
-        if not (self.theta > 0 and np.isfinite(self.theta)):
+        theta = self.theta
+        if not isinstance(theta, numbers.Real) or type(theta) is bool:
+            raise ValueError(f"expected a number, got {theta!r}")
+        if isinstance(theta, numbers.Integral) and abs(theta) > sys.float_info.max:  # float() would overflow
+            raise ValueError(f"{theta} is past the float64 range")
+        object.__setattr__(self, "theta", float(theta))
+        if not (self.theta > 0 and math.isfinite(self.theta)):
             raise ValueError(f"l1 weight must be positive and finite, got {self.theta}")
 
     def value(self, x):
@@ -63,7 +70,7 @@ class L0Ball:
     s: int
 
     def __post_init__(self):
-        if not (isinstance(self.s, numbers.Integral) and self.s >= 1):
+        if not (isinstance(self.s, numbers.Integral) and type(self.s) is not bool and self.s >= 1):
             raise ValueError(f"sparsity level must be a positive integer, got {self.s}")
 
     def value(self, x):
@@ -71,6 +78,12 @@ class L0Ball:
 
     def prox(self, p, lam):  # prox_l0; QipInstance checks s < d
         return _radial_step(_keep_largest(p, self.s))
+
+
+def _check_sparsity(regularizer, d):
+    """An l0 ball on R^d must leave a coordinate out: s < d (``L0Ball`` checks s >= 1)."""
+    if isinstance(regularizer, L0Ball) and not regularizer.s < d:
+        raise ValueError(f"l0 sparsity level must satisfy 1 <= s < d, got s={regularizer.s}, d={d}")
 
 
 def _read_only(a):
@@ -152,8 +165,7 @@ class QipInstance:
             raise ValueError(f"b has shape {self.b.shape}, expected ({m},)")
         if not isinstance(regularizer, (L1, L0Ball)):
             raise TypeError(f"regularizer must be L1 or L0Ball, got {type(regularizer).__name__}")
-        if isinstance(regularizer, L0Ball) and not (1 <= regularizer.s < d):
-            raise ValueError(f"l0 sparsity level must satisfy 1 <= s < d, got s={regularizer.s}, d={d}")
+        _check_sparsity(regularizer, d)
         self.regularizer = regularizer
         self.d = d
         self.m = m
@@ -251,7 +263,7 @@ def hard_threshold(y, s):
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("hard_threshold expects a single vector")
-    if not (isinstance(s, numbers.Integral) and 1 <= s <= y.size):
+    if not (isinstance(s, numbers.Integral) and type(s) is not bool and 1 <= s <= y.size):
         raise ValueError(f"sparsity level must be an integer with 1 <= s <= {y.size}, got {s}")
     return _keep_largest(y, s)
 

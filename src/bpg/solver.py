@@ -89,7 +89,8 @@ class BpgConfig:
             raise ValueError(f"starting point x0 must be a vector, got shape {self.x0.shape}")
         if not np.all(np.isfinite(self.x0)):
             raise ValueError("starting point must be finite")
-        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 0):
+        if not (isinstance(self.max_iters, numbers.Integral) and type(self.max_iters) is not bool
+                and self.max_iters >= 0):
             raise ValueError(f"max_iters must be a nonnegative integer, got {self.max_iters!r}")
         if not self.tol_step >= 0:
             raise ValueError(f"tol_step must be nonnegative, got {self.tol_step}")
@@ -278,7 +279,7 @@ def min_gap_bound(trace, lam, L, psi_lower_bound, n=None):
     gaps = trace.dh_gap[1:]
     if n is None:
         n = len(gaps)
-    if not (isinstance(n, numbers.Integral) and 1 <= n <= len(gaps)):
+    if not (isinstance(n, numbers.Integral) and type(n) is not bool and 1 <= n <= len(gaps)):
         raise ValueError(f"n must be an integer in [1, {len(gaps)}], got {n!r}")
     observed = float(np.min(gaps[:n]))
     bound = lam * (trace.psi[0] - psi_lower_bound) / (n * (1.0 - lam * L))

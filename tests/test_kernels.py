@@ -214,7 +214,7 @@ def test_kernel_is_immutable():
         k.dimension = 3
 
 
-@pytest.mark.parametrize("dimension", [2.5, "3", 0])
+@pytest.mark.parametrize("dimension", [2.5, "3", 0, True])
 def test_bad_dimension_rejected(dimension):
     with pytest.raises(ValueError, match="dimension"):
         Kernel.quartic(dimension)

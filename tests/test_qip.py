@@ -159,9 +159,12 @@ class TestInstance:
     def test_rejects_bad_sparsity(self):
         with pytest.raises(ValueError):
             QipInstance(b=[1.0], regularizer=L0Ball(s=2), matrices=[np.eye(2)])
-        for bad in (0, 2.0, np.inf, np.nan):
+        for bad in (0, 2.0, np.inf, np.nan, True):
             with pytest.raises(ValueError, match="sparsity level"):
                 L0Ball(s=bad)
+        for bad in ("0.1", True, 10**400, -1, np.nan):
+            with pytest.raises(ValueError):
+                L1(theta=bad)
 
     def test_rank_one_dense_agree(self):
         rng = np.random.default_rng(20)
@@ -511,7 +514,7 @@ class TestThresholds:
         )
 
     def test_hard_out_of_range(self):
-        for bad in (0, 4, 2.0, np.inf, np.nan):
+        for bad in (0, 4, 2.0, np.inf, np.nan, True):
             with pytest.raises(ValueError, match="sparsity level"):
                 hard_threshold(np.ones(3), bad)
 

@@ -160,6 +160,7 @@ class TestRunBpg:
         ("tol_residual", -1.0),
         ("x0", np.ones((2, 4))),
         ("x0", np.ones((1, 4))),
+        ("max_iters", True),
     ])
     def test_config_validation(self, field, value):
         fields = {"x0": np.ones(2), field: value}
@@ -445,7 +446,7 @@ class TestMinGapBound:
         with pytest.raises(ValueError):
             min_gap_bound(trace, 0.5, 1.0, 0.0)
 
-    @pytest.mark.parametrize("n", [2.0, 0, 4, "2"])
+    @pytest.mark.parametrize("n", [2.0, 0, 4, "2", True])
     def test_n_must_be_an_integer_in_range(self, n):
         prob = quadratic_problem([0.0, 0.0])
         res = run_bpg(prob, BpgConfig(x0=np.array([1.0, 0.0]), lam=0.5, max_iters=3, tol_step=0.0))
