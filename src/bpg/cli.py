@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import instances
+from .kernels import _integer
 from .qip import L0Ball, L1, hard_threshold, make_problem, qip_value
 from .smad import check_descent_lemma
 from .solver import BpgConfig, DecreaseViolationError, DivergenceError, resolve_step, run_bpg
@@ -95,8 +96,7 @@ def run_from_spec(args):
     3 when any start hit a solver diagnostic.  Bad input, a non-empty
     ``args.out`` too, raises ValueError or OSError before anything is written.
     """
-    if args.starts < 1:
-        raise ValueError(f"--starts must be at least 1, got {args.starts}")
+    _integer(args.starts, "--starts", 1)
     out = Path(args.out)
     if out.is_dir() and any(out.iterdir()):
         raise ValueError(f"--out directory {out} is not empty")
@@ -150,8 +150,7 @@ def _cmd_generate(args):
 
 
 def _cmd_check(args):
-    if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    _integer(args.samples, "--samples", 1)
     if not (np.isfinite(args.radius) and args.radius > 0):
         raise ValueError(f"--radius must be finite and positive, got {args.radius}")
     inst, _ = instances.load_instance(args.instance)

@@ -14,6 +14,7 @@ import os
 
 import numpy as np
 
+from .kernels import _integer, _real
 from .qip import L0Ball, L1, QipInstance, _check_sparsity, qip_value
 
 SCHEMA_VERSION = 3
@@ -31,10 +32,8 @@ def _decode(header):
     if header.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"field 'schema': expected {SCHEMA_VERSION}, got {header.get('schema')!r}; "
                          "regenerate the file with 'bpg generate'")
-    d, m = header.get("d"), header.get("m")
-    if type(d) is not int or type(m) is not int or d < 1 or m < 1:
-        raise ValueError(f"fields 'd'/'m' must be positive integers, got d={d!r}, m={m!r}")
-    if type(header.get("x_true")) is not bool:
+    d, m = (_integer(header.get(key), f"field '{key}'", 1) for key in ("d", "m"))
+    if not isinstance(header.get("x_true"), bool):
         raise ValueError(f"field 'x_true': expected true or false, got {header.get('x_true')!r}")
     encoding = header.get("encoding")
     if encoding not in (RANK_ONE, DENSE_SYMMETRIC):  # not a dict lookup: a list does not hash
@@ -59,7 +58,7 @@ def instance_to_payload(inst, x_true=None):
     reg = inst.regularizer
     payload = {"schema": SCHEMA_VERSION, "d": inst.d, "m": inst.m, "b": inst.b, "x_true": x_true,
                "regularizer": ({"kind": "l1", "theta": reg.theta} if isinstance(reg, L1)
-                               else {"kind": "l0", "s": int(reg.s)})}
+                               else {"kind": "l0", "s": reg.s})}
     if inst.factors is not None:
         payload.update(encoding=RANK_ONE, factors=inst.factors)
     else:
@@ -120,10 +119,8 @@ def generate_instance(d, m, s_true, noise, seed, kind=RANK_ONE, regularizer=None
     ``seed``.  Returns (payload, instance, x_true); by default the stored
     regularizer is the l0 ball at the true sparsity.
     """
-    if d < 2 or m < 1:
-        raise ValueError(f"require d >= 2 and m >= 1, got d={d}, m={m}")
-    if not 1 <= s_true < d:
-        raise ValueError(f"require 1 <= s_true < d, got s_true={s_true}, d={d}")
+    d, m = _integer(d, "d", 2), _integer(m, "m", 1)
+    s_true, noise = _integer(s_true, "s_true", 1, d - 1), _real(noise, "noise level")
     if not noise >= 0:
         raise ValueError(f"noise level must be nonnegative, got {noise}")
     if kind not in (RANK_ONE, DENSE_SYMMETRIC):

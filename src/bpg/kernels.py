@@ -11,6 +11,7 @@ it; :func:`cubic_root_l0` shares its closed form.
 
 import math
 import numbers
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +31,7 @@ class Kernel:
     dimension: int
 
     def __post_init__(self):
-        if not (isinstance(self.dimension, numbers.Integral) and type(self.dimension) is not bool
-                and self.dimension >= 1):
-            raise ValueError(f"dimension must be a positive integer, got {self.dimension!r}")
-        object.__setattr__(self, "dimension", int(self.dimension))
+        object.__setattr__(self, "dimension", _integer(self.dimension, "dimension", 1))
 
     @classmethod
     def quartic(cls, dimension):
@@ -77,6 +75,23 @@ def _point(x, d, owner):
     if x.shape[-1:] != (d,):
         raise ValueError(f"point has trailing dimension {x.shape[-1:]}, {owner} expects ({d},)")
     return x
+
+
+def _integer(value, name, low, high=None):
+    """A count as an int: an integral number, not a bool, in [low, high]; no upper end for None."""
+    if not (isinstance(value, numbers.Integral) and type(value) is not bool
+            and low <= value and (high is None or value <= high)):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
+
+
+def _real(value, name):
+    """A number as a float: a real number, not a bool, and an integer only if it fits in a float64."""
+    if isinstance(value, numbers.Real) and type(value) is not bool:
+        with suppress(OverflowError):  # float() of an integer past the float64 range
+            return float(value)
+    raise ValueError(f"{name} must be a real number in the float64 range, got {value!r}")
 
 
 def _dot(a, b):

@@ -23,14 +23,13 @@ sum_i (3*||A_i||^2 + ||A_i||*|b_i|).
 """
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 # the cubics are re-exported: the benchmark's tracer looks them up here
-from .kernels import Kernel, _dot, _point, _radial_step, cubic_root_l0, cubic_root_l1  # noqa: F401
+from .kernels import (Kernel, _dot, _integer, _point, _radial_step, _real,  # noqa: F401
+                      cubic_root_l0, cubic_root_l1)
 from .smad import QIP_GRAM, SmadCertificate, check_symmetric
 from .solver import Problem
 
@@ -47,12 +46,7 @@ class L1:
     theta: float
 
     def __post_init__(self):
-        theta = self.theta
-        if not isinstance(theta, numbers.Real) or type(theta) is bool:
-            raise ValueError(f"expected a number, got {theta!r}")
-        if isinstance(theta, numbers.Integral) and abs(theta) > sys.float_info.max:  # float() would overflow
-            raise ValueError(f"{theta} is past the float64 range")
-        object.__setattr__(self, "theta", float(theta))
+        object.__setattr__(self, "theta", _real(self.theta, "l1 weight theta"))
         if not (self.theta > 0 and math.isfinite(self.theta)):
             raise ValueError(f"l1 weight must be positive and finite, got {self.theta}")
 
@@ -65,13 +59,12 @@ class L1:
 
 @dataclass(frozen=True)
 class L0Ball:
-    """Constraint ||x||_0 <= s for a positive integer s < d."""
+    """Constraint ||x||_0 <= s for a positive integer s < d, stored as an int."""
 
     s: int
 
     def __post_init__(self):
-        if not (isinstance(self.s, numbers.Integral) and type(self.s) is not bool and self.s >= 1):
-            raise ValueError(f"sparsity level must be a positive integer, got {self.s}")
+        object.__setattr__(self, "s", _integer(self.s, "sparsity level s", 1))
 
     def value(self, x):
         return 0.0 if np.count_nonzero(x) <= self.s else np.inf
@@ -246,7 +239,7 @@ def p_lambda(inst, kernel, lam, x):
 
 def soft_threshold(y, tau):
     """Componentwise shrinkage max(|y| - tau, 0) * sgn(y)."""
-    if not tau >= 0:
+    if not (tau := _real(tau, "threshold tau")) >= 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     return _shrink(np.asarray(y, dtype=float), tau)
 
@@ -263,9 +256,7 @@ def hard_threshold(y, s):
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("hard_threshold expects a single vector")
-    if not (isinstance(s, numbers.Integral) and type(s) is not bool and 1 <= s <= y.size):
-        raise ValueError(f"sparsity level must be an integer with 1 <= s <= {y.size}, got {s}")
-    return _keep_largest(y, s)
+    return _keep_largest(y, _integer(s, "sparsity level s", 1, y.size))
 
 
 def _keep_largest(y, s):
@@ -296,10 +287,8 @@ def prox_l0(p, s):
     The minimizer is (grad h)^{-1}(-H_s(p)) = -t H_s(p), with H_s the hard
     threshold and t = cubic_root_l1(||H_s(p)||^2).
     """
-    p = np.asarray(p, dtype=float)
-    if not 1 <= s < p.size:
-        raise ValueError(f"require 1 <= s < d, got s={s}, d={p.size}")
-    return _radial_step(hard_threshold(p, s))
+    _check_sparsity(ball := L0Ball(s), np.size(p))
+    return _radial_step(hard_threshold(p, ball.s))
 
 
 def make_problem(inst, kernel=None):

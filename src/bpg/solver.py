@@ -21,13 +21,14 @@ the witness norm.
 
 import csv
 import math
-import numbers
 import time
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+from .kernels import _integer, _real
 
 DIVERGENCE_NORM = 1e12
 DECREASE_SLACK = 1e-8
@@ -89,18 +90,16 @@ class BpgConfig:
             raise ValueError(f"starting point x0 must be a vector, got shape {self.x0.shape}")
         if not np.all(np.isfinite(self.x0)):
             raise ValueError("starting point must be finite")
-        if not (isinstance(self.max_iters, numbers.Integral) and type(self.max_iters) is not bool
-                and self.max_iters >= 0):
-            raise ValueError(f"max_iters must be a nonnegative integer, got {self.max_iters!r}")
-        if not self.tol_step >= 0:
+        _integer(self.max_iters, "max_iters", 0)
+        if not _real(self.tol_step, "tol_step") >= 0:
             raise ValueError(f"tol_step must be nonnegative, got {self.tol_step}")
-        if self.tol_residual is not None and not self.tol_residual >= 0:
+        if self.tol_residual is not None and not _real(self.tol_residual, "tol_residual") >= 0:
             raise ValueError(f"tol_residual must be nonnegative, got {self.tol_residual}")
 
 
 def resolve_step(config_lam, L):
     """Return the actual step size, enforcing 0 < lam * L < 1."""
-    lam = 0.99 / L if config_lam is None else float(config_lam)
+    lam = 0.99 / L if config_lam is None else _real(config_lam, "step size lam")
     if not (lam > 0 and lam * L < 1):
         raise ValueError(f"step size must satisfy 0 < lam*L < 1; got lam={lam}, L={L}, lam*L={lam * L}")
     return lam
@@ -272,15 +271,14 @@ def min_gap_bound(trace, lam, L, psi_lower_bound, n=None):
     """Observed min Bregman gap over the first n steps vs. its theoretical bound.
 
     The bound is lam * (Psi(x0) - psi_lower_bound) / (n * (1 - lam*L)); using
-    any valid lower bound in place of the optimal value only loosens it.
+    any valid lower bound in place of the optimal value only loosens it.  The
+    step is checked as ``run_bpg`` checks it: 0 < lam*L < 1 (None is 0.99 / L).
     """
+    lam = resolve_step(lam, L)
     if len(trace) < 2:
         raise ValueError("trace has no completed iterations")
     gaps = trace.dh_gap[1:]
-    if n is None:
-        n = len(gaps)
-    if not (isinstance(n, numbers.Integral) and type(n) is not bool and 1 <= n <= len(gaps)):
-        raise ValueError(f"n must be an integer in [1, {len(gaps)}], got {n!r}")
+    n = len(gaps) if n is None else _integer(n, "n", 1, len(gaps))
     observed = float(np.min(gaps[:n]))
     bound = lam * (trace.psi[0] - psi_lower_bound) / (n * (1.0 - lam * L))
     return observed, float(bound)

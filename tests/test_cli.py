@@ -65,6 +65,22 @@ class TestGenerate:
             generate_instance(d=4, m=3, s_true=1, noise=float("nan"), seed=0)
         with pytest.raises(ValueError, match="unknown measurement kind 'diagonal'"):
             generate_instance(d=4, m=3, s_true=1, noise=0.0, seed=0, kind="diagonal")
+        # a count is an integer and a noise level a number, never a bool, a float count or a string
+        number = "noise level must be a real number in the float64 range, got "
+        for bad, message in [({"d": 4.0}, "d must be an integer >= 2, got 4.0"),
+                             ({"m": 3.0}, "m must be an integer >= 1, got 3.0"),
+                             ({"s_true": True}, "s_true must be an integer in [1, 3], got True"),
+                             ({"s_true": 2.0}, "s_true must be an integer in [1, 3], got 2.0"),
+                             ({"noise": True}, number + "True"), ({"noise": "0"}, number + "'0'")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                generate_instance(**{"d": 4, "m": 3, "s_true": 1, "noise": 0.0, "seed": 0, **bad})
+        # numpy scalars are counts and numbers too, with the same draw
+        payload, _, _ = generate_instance(d=np.int64(4), m=np.int64(3), s_true=np.int64(2),
+                                          noise=np.float64(0.1), seed=0)
+        expected, _, _ = generate_instance(d=4, m=3, s_true=2, noise=0.1, seed=0)
+        assert payload.keys() == expected.keys()
+        for key, value in expected.items():
+            np.testing.assert_array_equal(payload[key], value)
 
     def test_cli_generate(self, tmp_path):
         out = tmp_path / "inst.json"
@@ -293,7 +309,7 @@ class TestValidation:
          "field 'regularizer.kind': unknown kind 'l2'"),
         (lambda h, a: ({**h, "regularizer": {"kind": "l1"}}, a), "regularizer.theta"),
         (lambda h, a: ({**h, "regularizer": {"kind": "l1", "theta": "0.1"}}, a),
-         "field 'regularizer.theta': expected a number, got '0.1'"),
+         "field 'regularizer.theta': l1 weight theta must be a real number in the float64 range, got '0.1'"),
         (lambda h, a: ({**h, "regularizer": {"kind": "l0"}}, a), "regularizer.s"),
         (lambda h, a: ({**h, "d": None}, a), "'d'"),
         (lambda h, a: ({**h, "x_true": 1}, a), "field 'x_true': expected true or false, got 1"),
@@ -312,7 +328,8 @@ class TestValidation:
         (lambda h, a: ({k: v for k, v in h.items() if k != "regularizer"}, a),
          "field 'regularizer': expected an object with a 'kind'"),
         (lambda h, a: ({**h, "regularizer": {"kind": "l1", "theta": 10**400}}, a),
-         "field 'regularizer.theta': 1" + "0" * 400 + " is past the float64 range"),
+         "field 'regularizer.theta': l1 weight theta must be a real number in the float64 range, got 1"
+         + "0" * 400),
         # the whole header is checked before the data is read, or found short
         (lambda h, a: ({**h, "d": 10**6, "m": 10**6, "regularizer": {"kind": "l2"}}, a),
          "field 'regularizer.kind': unknown kind 'l2'"),
@@ -322,9 +339,9 @@ class TestValidation:
         (lambda h, a: ({**h, "regularizer": {"kind": "l1", "theta": math.nan}}, a),  # the literal NaN
          "field 'regularizer.theta': l1 weight must be positive and finite, got nan"),
         (lambda h, a: ({**h, "regularizer": {"kind": "l0", "s": 0}}, a),
-         "field 'regularizer.s': sparsity level must be a positive integer, got 0"),
+         "field 'regularizer.s': sparsity level s must be an integer >= 1, got 0"),
         (lambda h, a: ({**h, "regularizer": {"kind": "l0", "s": True}}, a),
-         "field 'regularizer.s': sparsity level must be a positive integer, got True"),
+         "field 'regularizer.s': sparsity level s must be an integer >= 1, got True"),
         (lambda h, a: ({**h, "regularizer": {"kind": "l0", "s": 4}}, a),
          "field 'regularizer.s': l0 sparsity level must satisfy 1 <= s < d, got s=4, d=4"),
         (lambda h, a: ({**h, "d": 10**6, "m": 10**6, "regularizer": {"kind": "l0", "s": 10**7}}, a),

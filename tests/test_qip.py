@@ -1,4 +1,5 @@
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -165,6 +166,7 @@ class TestInstance:
         for bad in ("0.1", True, 10**400, -1, np.nan):
             with pytest.raises(ValueError):
                 L1(theta=bad)
+        assert type(L0Ball(s=np.int64(2)).s) is int and type(L1(theta=np.float64(0.5)).theta) is float
 
     def test_rank_one_dense_agree(self):
         rng = np.random.default_rng(20)
@@ -480,11 +482,19 @@ class TestThresholds:
         y = np.array([1.0, -2.0, 0.0])
         np.testing.assert_array_equal(soft_threshold(y, 0.0), y)
 
-    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, True, "1"])
     def test_bad_threshold_rejected(self, bad):
+        # a bool or a string is no number: True would threshold at 1
+        message = ("threshold must be nonnegative" if isinstance(bad, float)
+                   else f"threshold tau must be a real number in the float64 range, got {bad!r}")
         for shrink in (soft_threshold, prox_l1):
-            with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            with pytest.raises(ValueError, match=message):
                 shrink(np.ones(3), bad)
+
+    def test_numpy_scalar_threshold(self):
+        y = np.array([2.0, -1.0, 0.5])
+        np.testing.assert_array_equal(soft_threshold(y, np.float64(0.75)), soft_threshold(y, 0.75))
+        np.testing.assert_array_equal(hard_threshold(y, np.int64(2)), hard_threshold(y, 2))
 
     def test_soft_matches_scalar_oracle(self):
         # per-coordinate minimization of tau|x| + (x - y)^2 / 2 by bisection
@@ -662,6 +672,21 @@ class TestProxL1:
 class TestProxL0:
     def test_zero_driver(self):
         np.testing.assert_array_equal(prox_l0(np.zeros(3), 1), np.zeros(3))
+
+    @pytest.mark.parametrize("bad, message", [
+        (True, "sparsity level s must be an integer >= 1, got True"),
+        (2.0, "sparsity level s must be an integer >= 1, got 2.0"),
+        (0, "sparsity level s must be an integer >= 1, got 0"),
+        (3, "l0 sparsity level must satisfy 1 <= s < d, got s=3, d=3"),
+    ], ids=["bool", "float", "zero", "equal-to-d"])
+    def test_bad_sparsity_rejected(self, bad, message):
+        # the rule of L0Ball and of an instance's s < d
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            prox_l0(np.ones(3), bad)
+
+    def test_numpy_integer_sparsity(self):
+        p = np.array([0.5, -2.0, 1.0])
+        np.testing.assert_array_equal(prox_l0(p, np.int64(2)), prox_l0(p, 2))
 
     def test_hand_example_sign(self):
         out = prox_l0(np.array([0.0, -2.0, 0.0]), 1)

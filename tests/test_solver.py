@@ -18,6 +18,7 @@ from bpg import (
     Problem,
     QipInstance,
     SmadCertificate,
+    generate_instance,
     make_problem,
     min_gap_bound,
     qip_gradient,
@@ -161,6 +162,9 @@ class TestRunBpg:
         ("x0", np.ones((2, 4))),
         ("x0", np.ones((1, 4))),
         ("max_iters", True),
+        ("tol_step", True),
+        ("tol_step", "1e-6"),
+        ("tol_residual", True),
     ])
     def test_config_validation(self, field, value):
         fields = {"x0": np.ones(2), field: value}
@@ -168,12 +172,25 @@ class TestRunBpg:
         with pytest.raises(ValueError, match=name):
             BpgConfig(**fields)
 
+    def test_numpy_scalars_are_counts_and_numbers(self):
+        prob = quadratic_problem([0.0, 0.0])
+        runs = [run_bpg(prob, BpgConfig(x0=np.ones(2), lam=lam, max_iters=iters, tol_step=tol,
+                                        tol_residual=tol))
+                for lam, iters, tol in [(np.float64(0.5), np.int64(5), np.float64(1e-3)), (0.5, 5, 1e-3)]]
+        np.testing.assert_array_equal(runs[0].trace.psi, runs[1].trace.psi)
+        assert runs[0].reason == runs[1].reason
+
     def test_step_size_validation(self):
         prob = quadratic_problem([0.0, 0.0])
         with pytest.raises(ValueError):
             run_bpg(prob, BpgConfig(x0=np.ones(2), lam=1.5, max_iters=10))
         with pytest.raises(ValueError):
             run_bpg(prob, BpgConfig(x0=np.ones(2), lam=-0.1, max_iters=10))
+        # a step is a number: not a bool (1.0) nor a string that float() would parse
+        for lam in (True, "0.0001"):
+            message = f"^step size lam must be a real number in the float64 range, got {lam!r}$"
+            with pytest.raises(ValueError, match=message):
+                run_bpg(prob, BpgConfig(x0=np.ones(2), lam=lam, max_iters=10))
 
     def test_divergence_guard(self):
         d = 2
@@ -445,6 +462,20 @@ class TestMinGapBound:
         trace.append(0, 1.0, 0.0, 0.0, np.nan, 0.0)
         with pytest.raises(ValueError):
             min_gap_bound(trace, 0.5, 1.0, 0.0)
+
+    @pytest.mark.parametrize("scale", [2.0, 1.0, -0.99], ids=["past-one", "one", "negative"])
+    def test_step_must_satisfy_the_step_rule(self, scale):
+        # a step outside 0 < lam*L < 1 gives no bound: 2/L a false violation, 1/L a division
+        # by zero, -0.99/L a negative bound, on the trace of a valid run
+        _, inst, _ = generate_instance(d=6, m=12, s_true=2, noise=0.0, seed=4)
+        prob = make_problem(inst)
+        L = prob.smad.L
+        res = run_bpg(prob, BpgConfig(x0=np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0]), max_iters=50,
+                                      tol_step=0.0))
+        with pytest.raises(ValueError, match=r"0 < lam\*L < 1"):
+            min_gap_bound(res.trace, scale / L, L, 0.0)
+        observed, bound = min_gap_bound(res.trace, 0.99 / L, L, 0.0)
+        assert 0 <= observed <= bound
 
     @pytest.mark.parametrize("n", [2.0, 0, 4, "2", True])
     def test_n_must_be_an_integer_in_range(self, n):
