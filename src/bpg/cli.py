@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import instances
-from .kernels import _integer
+from .kernels import _integer, _real
 from .qip import L0Ball, L1, hard_threshold, make_problem, qip_value
 from .smad import check_descent_lemma
 from .solver import BpgConfig, DecreaseViolationError, DivergenceError, resolve_step, run_bpg
@@ -70,9 +70,9 @@ def draw_starts(d, starts, seed, regularizer):
     """Deterministic multi-start points: r * u with u uniform on the sphere
     and r cycling through a small/natural/large radius schedule.  For l0
     instances the draw is hard-thresholded so the start is feasible."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     points = []
-    for i in range(starts):
+    for i in range(_integer(starts, "starts", 0)):
         u = rng.standard_normal(d)
         u /= np.linalg.norm(u)
         x0 = START_RADII[i % len(START_RADII)] * u
@@ -151,11 +151,11 @@ def _cmd_generate(args):
 
 def _cmd_check(args):
     _integer(args.samples, "--samples", 1)
-    if not (np.isfinite(args.radius) and args.radius > 0):
+    if not 0.0 < _real(args.radius, "--radius") < np.inf:
         raise ValueError(f"--radius must be finite and positive, got {args.radius}")
     inst, _ = instances.load_instance(args.instance)
     problem = make_problem(inst)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_integer(args.seed, "--seed", 0))
     # uniform in the radius-R ball
     def ball(n):
         u = rng.standard_normal((n, inst.d))
@@ -198,9 +198,9 @@ def build_parser():
     sol.add_argument("--s", type=int, default=None)
     sol.add_argument("--lambda", dest="lam", type=_step_size, default="auto",
                      help="step size: 'auto' (0.99/L) or a number")
-    sol.add_argument("--max-iters", dest="max_iters", type=int, default=100_000)
-    sol.add_argument("--tol-step", dest="tol_step", type=float, default=1e-9)
-    sol.add_argument("--tol-residual", dest="tol_residual", type=float, default=None)
+    sol.add_argument("--max-iters", dest="max_iters", type=int, default=BpgConfig.max_iters)
+    sol.add_argument("--tol-step", dest="tol_step", type=float, default=BpgConfig.tol_step)
+    sol.add_argument("--tol-residual", dest="tol_residual", type=float, default=BpgConfig.tol_residual)
     sol.add_argument("--starts", type=int, default=1)
     sol.add_argument("--seed", type=int, default=0)
     sol.add_argument("--out", required=True)

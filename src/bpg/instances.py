@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .kernels import _integer, _real
+from .kernels import _check_finite, _integer, _real
 from .qip import L0Ball, L1, QipInstance, _check_sparsity, qip_value
 
 SCHEMA_VERSION = 3
@@ -125,7 +125,7 @@ def generate_instance(d, m, s_true, noise, seed, kind=RANK_ONE, regularizer=None
         raise ValueError(f"noise level must be nonnegative, got {noise}")
     if kind not in (RANK_ONE, DENSE_SYMMETRIC):
         raise ValueError(f"unknown measurement kind {kind!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     x_true = np.zeros(d)
     support = rng.choice(d, size=s_true, replace=False)
     x_true[support] = rng.standard_normal(s_true)
@@ -140,8 +140,7 @@ def generate_instance(d, m, s_true, noise, seed, kind=RANK_ONE, regularizer=None
         clean, data = np.einsum("i,mij,j->m", x_true, matrices, x_true), {"matrices": matrices}
     with np.errstate(over="ignore"):  # an overflow is an inf, refused below
         b = clean + noise * rng.standard_normal(m)
-    if not np.isfinite(b).all():
-        raise ValueError(f"noise level {noise} overflows float64 in the measurements b")
+    _check_finite(b, f"noise level {noise} overflows float64 in the measurements b")
     inst = QipInstance(b=b, regularizer=regularizer, **data)
     if noise == 0:
         assert qip_value(inst, x_true) <= 1e-20

@@ -82,7 +82,7 @@ def _integer(value, name, low, high=None):
     if not (isinstance(value, numbers.Integral) and type(value) is not bool
             and low <= value and (high is None or value <= high)):
         span = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+        raise ValueError(f"{name} must be an integer {span}, got {_shown(value)}")
     return int(value)
 
 
@@ -91,7 +91,19 @@ def _real(value, name):
     if isinstance(value, numbers.Real) and type(value) is not bool:
         with suppress(OverflowError):  # float() of an integer past the float64 range
             return float(value)
-    raise ValueError(f"{name} must be a real number in the float64 range, got {value!r}")
+    raise ValueError(f"{name} must be a real number in the float64 range, got {_shown(value)}")
+
+
+def _shown(value):
+    """repr(value) for a message; a Python int past 200 bits, which may have none, by its size."""
+    big = isinstance(value, int) and value.bit_length() > 200
+    return f"an integer of {value.bit_length()} bits" if big else repr(value)
+
+
+def _check_finite(a, message):
+    """Raise ValueError(message) unless the float array a is finite: min and max propagate NaN."""
+    if not (math.isfinite(a.min(initial=0.0)) and math.isfinite(a.max(initial=0.0))):
+        raise ValueError(message)
 
 
 def _dot(a, b):
@@ -106,14 +118,15 @@ def _gap(uu, yu, yy):
 
 
 def _coefficients(c):
-    """A Python float, or a float array, of finite nonnegative coefficients."""
-    if isinstance(c, float) or np.ndim(c) == 0:
-        c = float(c)
-        ok = math.isfinite(c) and c >= 0
+    """c as a float, or a float array, of coefficients in [0, inf): by the number rule, or ``_check_finite``."""
+    if isinstance(c, float):  # first, and a number as it is: the solver's ||v||^2 on every step
+        low = c = float(c)
+    elif isinstance(c, np.ndarray) or np.ndim(c):
+        _check_finite(c := np.asarray(c, dtype=float), "coefficient must be finite")
+        low = c.min(initial=0.0)
     else:
-        c = np.asarray(c, dtype=float)
-        ok = np.all(np.isfinite(c)) and not np.any(c < 0)
-    if not ok:
+        low = c = _real(c, "coefficient")
+    if not 0.0 <= low < math.inf:
         raise ValueError("coefficient must be finite and nonnegative")
     return c
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # the cubics are re-exported: the benchmark's tracer looks them up here
-from .kernels import (Kernel, _dot, _integer, _point, _radial_step, _real,  # noqa: F401
-                      cubic_root_l0, cubic_root_l1)
+from .kernels import (Kernel, _check_finite, _dot, _integer, _point, _radial_step,  # noqa: F401
+                      _real, cubic_root_l0, cubic_root_l1)
 from .smad import QIP_GRAM, SmadCertificate, check_symmetric
 from .solver import Problem
 
@@ -92,12 +92,6 @@ def _read_only(a):
     return a
 
 
-def _check_finite(a, name):
-    # min and max propagate NaN, and unlike isfinite(a) make no temporary the size of a
-    if not (math.isfinite(a.min(initial=0.0)) and math.isfinite(a.max(initial=0.0))):
-        raise ValueError(f"{name} must be finite")
-
-
 class QipInstance:
     """A quadratic-measurement instance: matrices A_i, data b, regularizer.
 
@@ -118,13 +112,13 @@ class QipInstance:
         self.b = _read_only(b)
         if self.b.ndim != 1 or self.b.size < 1:
             raise ValueError(f"b must be a nonempty vector, got shape {self.b.shape}")
-        _check_finite(self.b, "b")
+        _check_finite(self.b, "b must be finite")
         self.lower = self.factors = None
         if factors is not None:
             factors = _read_only(factors)
             if factors.ndim != 2 or factors.shape[1] < 1:
                 raise ValueError(f"factors must have shape (m, d), got {factors.shape}")
-            _check_finite(factors, "factors")
+            _check_finite(factors, "factors must be finite")
             self.factors = factors
             m, d = factors.shape
         else:
@@ -133,7 +127,7 @@ class QipInstance:
                 if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
                     raise ValueError(f"matrices must have shape (m, d, d), got {matrices.shape}")
                 # before the symmetry check, which a NaN gap passes
-                _check_finite(matrices, "matrices")
+                _check_finite(matrices, "matrices must be finite")
                 check_symmetric(matrices)
                 # a new C-ordered array that no caller holds, so it is frozen, not copied
                 tri = np.tri(matrices.shape[1], dtype=bool).ravel()  # in np.tril_indices order
@@ -141,7 +135,7 @@ class QipInstance:
                 lower.flags.writeable = False
             else:  # a matrices= stack is checked whole above
                 lower = _read_only(lower)
-                _check_finite(lower, "matrices")
+                _check_finite(lower, "matrices must be finite")
             n = lower.shape[1] if lower.ndim == 2 else 0
             d = (math.isqrt(8 * n + 1) - 1) // 2
             if n < 1 or d * (d + 1) // 2 != n:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import _check_finite
+
 QIP_GRAM = "qip-gram"
 
 _SYMMETRY_TOL = 1e-10
@@ -69,8 +71,7 @@ def spectral_norm(A):
     :func:`check_symmetric`.
     """
     A = np.asarray(A, dtype=float)
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix has non-finite entries")
+    _check_finite(A, "matrix must be finite")
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {A.shape}")
     check_symmetric(A)
@@ -106,14 +107,13 @@ def check_descent_lemma(g_value, g_gradient, kernel, L, xs, ys, g_oracle=None):
     even on a failed bound; raises ValueError on unequal, empty or non-finite samples.
     """
     g_oracle = g_oracle or (lambda y: (g_value(y), g_gradient(y)))
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    xs, ys = (np.atleast_2d(np.asarray(samples, dtype=float)) for samples in (xs, ys))
     if xs.shape != ys.shape:
         raise ValueError(f"sample arrays differ in shape: {xs.shape} vs {ys.shape}")
     if xs.size == 0:
         raise ValueError("no sample pairs given")
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-        raise ValueError("sample points must be finite")
+    for samples in (xs, ys):
+        _check_finite(samples, "sample points must be finite")
     margins, slacks = [], []
     with np.errstate(all="ignore"):  # an overflowing pair gets a NaN margin, a violation
         for start in range(0, len(xs), PAIR_BLOCK):

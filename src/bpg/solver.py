@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernels import _integer, _real
+from .kernels import _check_finite, _integer, _real
 
 DIVERGENCE_NORM = 1e12
 DECREASE_SLACK = 1e-8
@@ -88,8 +88,7 @@ class BpgConfig:
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.x0.ndim != 1:
             raise ValueError(f"starting point x0 must be a vector, got shape {self.x0.shape}")
-        if not np.all(np.isfinite(self.x0)):
-            raise ValueError("starting point must be finite")
+        _check_finite(self.x0, "starting point must be finite")
         _integer(self.max_iters, "max_iters", 0)
         if not _real(self.tol_step, "tol_step") >= 0:
             raise ValueError(f"tol_step must be nonnegative, got {self.tol_step}")

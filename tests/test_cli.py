@@ -7,7 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,12 +71,23 @@ class TestGenerate:
                              ({"m": 3.0}, "m must be an integer >= 1, got 3.0"),
                              ({"s_true": True}, "s_true must be an integer in [1, 3], got True"),
                              ({"s_true": 2.0}, "s_true must be an integer in [1, 3], got 2.0"),
-                             ({"noise": True}, number + "True"), ({"noise": "0"}, number + "'0'")]:
+                             ({"noise": True}, number + "True"), ({"noise": "0"}, number + "'0'"),
+                             ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+                             ({"seed": True}, "seed must be an integer >= 0, got True"),
+                             ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5")]:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 generate_instance(**{"d": 4, "m": 3, "s_true": 1, "noise": 0.0, "seed": 0, **bad})
+        # the starts follow the same rule for their count and their seed
+        for args, message in [((4, 2.0, 1), "starts must be an integer >= 0, got 2.0"),
+                              ((4, -1, 1), "starts must be an integer >= 0, got -1"),
+                              ((4, 2, -1), "seed must be an integer >= 0, got -1"),
+                              ((4, 2, True), "seed must be an integer >= 0, got True"),
+                              ((4, 2, 1.5), "seed must be an integer >= 0, got 1.5")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                draw_starts(*args, None)
         # numpy scalars are counts and numbers too, with the same draw
         payload, _, _ = generate_instance(d=np.int64(4), m=np.int64(3), s_true=np.int64(2),
-                                          noise=np.float64(0.1), seed=0)
+                                          noise=np.float64(0.1), seed=np.int64(0))
         expected, _, _ = generate_instance(d=4, m=3, s_true=2, noise=0.1, seed=0)
         assert payload.keys() == expected.keys()
         for key, value in expected.items():
@@ -96,9 +107,10 @@ class TestGenerate:
         (["--theta", "0.5"], "inst.json", "--theta needs --reg l1"),
         (["--reg", "l1"], "inst.json", "--reg l1 requires --theta"),
         (["--noise", "nan"], "inst.json", "noise level must be nonnegative"),
+        (["--seed", "-1"], "inst.json", "seed must be an integer >= 0, got -1"),
         ([], "missing/inst.json", "No such file or directory"),
     ], ids=["negative-theta", "theta-without-l1", "l1-without-theta", "noise-nan",
-            "missing-directory"])
+            "seed-negative", "missing-directory"])
     def test_bad_input_writes_nothing(self, tmp_path, capsys, args, out, message):
         code = main(["generate", "--d", "5", "--m", "8", "--s-true", "2", *args,
                      "--out", str(tmp_path / out)])
@@ -328,8 +340,8 @@ class TestValidation:
         (lambda h, a: ({k: v for k, v in h.items() if k != "regularizer"}, a),
          "field 'regularizer': expected an object with a 'kind'"),
         (lambda h, a: ({**h, "regularizer": {"kind": "l1", "theta": 10**400}}, a),
-         "field 'regularizer.theta': l1 weight theta must be a real number in the float64 range, got 1"
-         + "0" * 400),
+         "field 'regularizer.theta': l1 weight theta must be a real number in the float64 range, "
+         "got an integer of 1329 bits"),
         # the whole header is checked before the data is read, or found short
         (lambda h, a: ({**h, "d": 10**6, "m": 10**6, "regularizer": {"kind": "l2"}}, a),
          "field 'regularizer.kind': unknown kind 'l2'"),
@@ -596,14 +608,24 @@ class TestSolve:
         ["--reg", "l1", "--theta", "0.1", "--s", "2"],
         ["--reg", "l0"],
         ["--lambda", "big"],
+        ["--seed", "-1"],
     ], ids=["max-iters", "tol-step", "tol-step-nan", "tol-residual-nan", "tol-residual",
-            "theta-without-reg", "s-with-l1", "l0-without-s", "lambda-text"])
+            "theta-without-reg", "s-with-l1", "l0-without-s", "lambda-text", "seed-negative"])
     def test_bad_run_parameters_leave_no_output(self, instance_path, tmp_path, capsys, args):
         out = tmp_path / "run"
         code = exit_code(["solve", "--instance", str(instance_path), *args, "--out", str(out)])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the error names the first flag's parameter
+        assert "error:" in err and args[0].lstrip("-").replace("-", "_") in err
         assert not out.exists()
+
+    def test_defaults_are_the_configs(self):
+        # every run parameter that bpg solve shares with BpgConfig has the config's default
+        args = cli.build_parser().parse_args(["solve", "--instance", "i.json", "--out", "run"])
+        shared = [f.name for f in fields(BpgConfig) if hasattr(args, f.name)]
+        assert shared == ["lam", "max_iters", "tol_step", "tol_residual"]
+        assert [getattr(args, name) for name in shared] == [getattr(BpgConfig, name) for name in shared]
 
 
 class TestCheck:
@@ -621,7 +643,9 @@ class TestCheck:
         ["--radius", "nan"],
         ["--radius", "0"],
         ["--radius", "inf"],
-    ], ids=["samples-0", "samples-negative", "radius-nan", "radius-0", "radius-inf"])
+        ["--seed", "-1"],
+    ], ids=["samples-0", "samples-negative", "radius-nan", "radius-0", "radius-inf",
+            "seed-negative"])
     def test_bad_sampling_rejected(self, tmp_path, capsys, args):
         payload, _, _ = generate_instance(d=4, m=6, s_true=1, noise=0.0, seed=31)
         path = tmp_path / "inst.json"

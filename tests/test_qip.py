@@ -163,9 +163,12 @@ class TestInstance:
         for bad in (0, 2.0, np.inf, np.nan, True):
             with pytest.raises(ValueError, match="sparsity level"):
                 L0Ball(s=bad)
-        for bad in ("0.1", True, 10**400, -1, np.nan):
-            with pytest.raises(ValueError):
+        for bad in ("0.1", True, 10**400, 10**5000, -1, np.nan):
+            with pytest.raises(ValueError, match="l1 weight"):
                 L1(theta=bad)
+        # an integer past Python's 4300-digit string limit is shown by its size
+        with pytest.raises(ValueError, match=r"float64 range, got an integer of 16610 bits$"):
+            L1(theta=10**5000)
         assert type(L0Ball(s=np.int64(2)).s) is int and type(L1(theta=np.float64(0.5)).theta) is float
 
     def test_rank_one_dense_agree(self):
@@ -603,6 +606,15 @@ class TestCubics:
                     solve(bad)
                 with pytest.raises(ValueError):
                     solve(np.array([1.0, bad]))
+            # a scalar coefficient keeps the number rule: never a string, a bool or past float64
+            for bad, shown in [("4", "'4'"), (True, "True"), (10**400, "an integer of 1329 bits")]:
+                message = f"coefficient must be a real number in the float64 range, got {shown}"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    solve(bad)
+            # numpy scalars and 0-d arrays give the float's root, bit for bit
+            for good in (np.int64(4), np.array(4.0)):
+                root = solve(good)
+                assert type(root) is np.float64 and root == solve(4.0)
 
     @pytest.mark.parametrize("solve", [cubic_root_l1, cubic_root_l0])
     def test_scalar_and_batched_roots_identical(self, solve):
